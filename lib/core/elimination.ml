@@ -125,33 +125,36 @@ let is_member ?proper vol ~original ~universe t =
   Option.is_some
     (find_witness ?proper vol ~belongs_to ~candidates ~transformed:t)
 
+module Trace_tbl = Hashtbl.Make (Trace)
+module Wildcard_tbl = Hashtbl.Make (Wildcard)
+
 let memoised_member ?proper vol ~original ~universe =
   (* Two memo tables: one for closure-membership queries, one for the
      belongs-to checks underneath them.  The same wildcard
      generalisations recur across queries (every query walks the same
-     candidate list), so caching belongs-to is the bigger win. *)
-  let member_memo = Hashtbl.create 97 in
-  let belongs_memo = Hashtbl.create 97 in
+     candidate list), so caching belongs-to is the bigger win.  Both
+     are keyed by the values themselves, under structural equality and
+     a hash over every action. *)
+  let member_memo = Trace_tbl.create 97 in
+  let belongs_memo = Wildcard_tbl.create 97 in
   let belongs_to w =
-    let k = Wildcard.to_string w in
-    match Hashtbl.find_opt belongs_memo k with
+    match Wildcard_tbl.find_opt belongs_memo w with
     | Some b -> b
     | None ->
         let b = Traceset.belongs_to original w ~universe in
-        Hashtbl.add belongs_memo k b;
+        Wildcard_tbl.add belongs_memo w b;
         b
   in
   let candidates = Traceset.to_list original in
   fun t ->
-    let k = Trace.to_string t in
-    match Hashtbl.find_opt member_memo k with
+    match Trace_tbl.find_opt member_memo t with
     | Some b -> b
     | None ->
         let b =
           Option.is_some
             (find_witness ?proper vol ~belongs_to ~candidates ~transformed:t)
         in
-        Hashtbl.add member_memo k b;
+        Trace_tbl.add member_memo t b;
         b
 
 let find_unwitnessed ?proper vol ~original ~universe ~transformed =

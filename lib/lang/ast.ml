@@ -72,6 +72,54 @@ let equal_program a b =
 
 let compare_stmt a b = Stdlib.compare a b
 
+(* Structural hashes that fold over every node, unlike the polymorphic
+   [Hashtbl.hash], whose bounded traversal sees only a prefix of a
+   statement list and so maps long continuations that differ late to
+   one bucket. *)
+let mix h x = ((h * 65599) + x) land max_int
+let hash_name (s : string) = Hashtbl.hash s
+
+let hash_operand h = function
+  | Reg r -> mix (mix h 1) (hash_name r)
+  | Nat i -> mix (mix h 2) i
+
+let hash_test h = function
+  | Eq (a, b) -> hash_operand (hash_operand (mix h 3) a) b
+  | Ne (a, b) -> hash_operand (hash_operand (mix h 4) a) b
+
+let hash_rmw h = function
+  | Cas (e, d) -> hash_operand (hash_operand (mix h 5) e) d
+  | Faa o -> hash_operand (mix h 6) o
+  | Xchg o -> hash_operand (mix h 7) o
+
+let rec hash_stmt_into h = function
+  | Store (l, r) -> mix (mix (mix h 8) (hash_name l)) (hash_name r)
+  | Load (r, l) -> mix (mix (mix h 9) (hash_name r)) (hash_name l)
+  | Move (r, o) -> hash_operand (mix (mix h 10) (hash_name r)) o
+  | Lock m -> mix (mix h 11) (hash_name m)
+  | Unlock m -> mix (mix h 12) (hash_name m)
+  | Skip -> mix h 13
+  | Print r -> mix (mix h 14) (hash_name r)
+  | Atomic (r, l, k) ->
+      hash_rmw (mix (mix (mix h 15) (hash_name r)) (hash_name l)) k
+  | Block l -> mix (hash_thread_into (mix h 16) l) 17
+  | If (t, s1, s2) ->
+      hash_stmt_into (hash_stmt_into (hash_test (mix h 18) t) s1) s2
+  | While (t, s) -> hash_stmt_into (hash_test (mix h 19) t) s
+
+and hash_thread_into h l = List.fold_left hash_stmt_into h l
+
+let hash_thread l = hash_thread_into 0 l
+
+let hash_program p =
+  let h =
+    List.fold_left
+      (fun h l -> mix h (hash_name l))
+      0
+      (Location.Volatile.to_list p.volatile)
+  in
+  List.fold_left (fun h t -> mix (hash_thread_into h t) 20) h p.threads
+
 let rec fv_stmt = function
   | Store (l, _) | Load (_, l) | Atomic (_, l, _) -> Location.Set.singleton l
   | Move _ | Lock _ | Unlock _ | Skip | Print _ -> Location.Set.empty

@@ -63,6 +63,14 @@ val equal_thread : thread -> thread -> bool
 val equal_program : program -> program -> bool
 val compare_stmt : stmt -> stmt -> int
 
+val hash_thread : thread -> int
+
+val hash_program : program -> int
+(** Structural hashes compatible with the [equal_*] functions.  They
+    fold over every node (unlike the polymorphic [Hashtbl.hash], whose
+    traversal is bounded), so they suit hash tables keyed by whole
+    programs or by code continuations. *)
+
 (** {1 Static analyses used by the transformation rules} *)
 
 val fv_stmt : stmt -> Location.Set.t

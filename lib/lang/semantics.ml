@@ -9,19 +9,6 @@ type config = {
 let initial thread =
   { mons = Monitor.Map.empty; regs = Reg.Map.empty; code = thread }
 
-let config_key c =
-  let b = Buffer.create 64 in
-  Monitor.Map.iter
-    (fun m d -> if d <> 0 then Buffer.add_string b (Printf.sprintf "%s:%d;" m d))
-    c.mons;
-  Buffer.add_char b '|';
-  Reg.Map.iter
-    (fun r v -> if v <> 0 then Buffer.add_string b (Printf.sprintf "%s:%d;" r v))
-    c.regs;
-  Buffer.add_char b '|';
-  Buffer.add_string b (Pp.thread_compact c.code);
-  Buffer.contents b
-
 let value_of c = function
   | Ast.Nat i -> i
   | Ast.Reg r -> Option.value ~default:Value.default (Reg.Map.find_opt r c.regs)
@@ -56,8 +43,8 @@ let rec next ?(tau_fuel = 100_000) c =
             next ~tau_fuel:(tau_fuel - 1)
               { c with regs = Reg.Map.add r (value_of c o) c.regs; code = k }
         | Ast.If (t, s1, s2) -> tau ((if eval_test c t then s1 else s2) :: k)
-        | Ast.While (t, s) ->
-            if eval_test c t then tau (s :: Ast.While (t, s) :: k) else tau k
+        | Ast.While (t, body) ->
+            if eval_test c t then tau (body :: s :: k) else tau k
         | Ast.Store (l, r) ->
             Write (l, value_of c (Ast.Reg r), { c with code = k })
         | Ast.Load (r, l) ->

@@ -25,10 +25,6 @@ type config = {
 val initial : Ast.thread -> config
 (** [sigma_0] maps all monitors to 0 and [s_0] all registers to 0. *)
 
-val config_key : config -> string
-(** Canonical serialisation (two configs with equal key have equal
-    futures); used for memoisation. *)
-
 val value_of : config -> Ast.operand -> Value.t
 (** [Val(s, ri)] of Fig. 7. *)
 

@@ -97,16 +97,27 @@ end
 module Make (B : BUFFER) : MACHINE = struct
   let name = B.name
 
+  (* [tkeys.(i)] is the interned key of thread [i]'s state, kept beside
+     it so that a transition re-keys only the thread that stepped (the
+     same scheme as [Explorer]'s scheduler states). *)
   type 'ts state = {
     threads : 'ts array;
+    tkeys : int array;
     buffers : B.t array;
     mem : Value.t Location.Map.t;
     locks : (Thread_id.t * int) Monitor.Map.t;
   }
 
+  let set_thread ~tkey sys st tid ts' =
+    let threads = Array.copy st.threads in
+    threads.(tid) <- ts';
+    let tkeys = Array.copy st.tkeys in
+    tkeys.(tid) <- Par.Intern.id tkey (sys.System.key ts');
+    { st with threads; tkeys }
+
   (* Transitions: Some action for thread steps, None for buffer drains
      (invisible). *)
-  let transitions vol sys st =
+  let transitions ~tkey vol sys st =
     let out = ref [] in
     (* Drain steps: any buffered write the discipline allows out. *)
     Array.iteri
@@ -139,10 +150,10 @@ module Make (B : BUFFER) : MACHINE = struct
                 in
                 match k v with
                 | Some ts' ->
-                    let threads = Array.copy st.threads in
-                    threads.(tid) <- ts';
                     out :=
-                      (Some (Action.Read (l, v)), { st with threads }) :: !out
+                      ( Some (Action.Read (l, v)),
+                        set_thread ~tkey sys st tid ts' )
+                      :: !out
                 | None -> ())
             | System.Rmw (l, k) ->
                 (* An RMW fences (x86 LOCK prefix): it requires the
@@ -156,19 +167,17 @@ module Make (B : BUFFER) : MACHINE = struct
                   in
                   List.iter
                     (fun (w, ts') ->
-                      let threads = Array.copy st.threads in
-                      threads.(tid) <- ts';
+                      let st' =
+                        { st with mem = Location.Map.add l w st.mem }
+                      in
                       out :=
                         ( Some (Action.Rmw (l, v, w)),
-                          { st with threads; mem = Location.Map.add l w st.mem
-                          } )
+                          set_thread ~tkey sys st' tid ts' )
                         :: !out)
                     (k v)
             | System.Emit (a, ts') -> (
                 let commit st' =
-                  let threads = Array.copy st'.threads in
-                  threads.(tid) <- ts';
-                  out := (Some a, { st' with threads }) :: !out
+                  out := (Some a, set_thread ~tkey sys st' tid ts') :: !out
                 in
                 match a with
                 | Action.Read _ ->
@@ -225,9 +234,10 @@ module Make (B : BUFFER) : MACHINE = struct
   (* Length-prefixed injective int encoding of a machine state; thread
      keys, locations and monitors are interned per [behaviours] call.
      The interning tables are the sharded thread-safe ones because
-     [Explorer.graph_behaviours] may call the digest from several
-     worker domains at once under [jobs]/[pool]. *)
-  let digest ~tkey ~lkey ~mkey sys st =
+     [Explorer.graph_behaviours] may call the digest and the
+     transitions from several worker domains at once under
+     [jobs]/[pool]. *)
+  let digest ~lkey ~mkey st =
     let intern = Par.Intern.id in
     let acc = ref [] in
     let push x = acc := x :: !acc in
@@ -250,7 +260,7 @@ module Make (B : BUFFER) : MACHINE = struct
         List.iter push enc;
         push (List.length enc))
       st.buffers;
-    Array.iter (fun ts -> push (intern tkey (sys.System.key ts))) st.threads;
+    Array.iter push st.tkeys;
     !acc
 
   let behaviours ?max_states ?stats ?jobs ?pool vol sys =
@@ -267,18 +277,22 @@ module Make (B : BUFFER) : MACHINE = struct
         let tkey = Par.Intern.create () in
         let lkey = Par.Intern.create () in
         let mkey = Par.Intern.create () in
+        let threads = Array.of_list sys.System.initial in
         Explorer.graph_behaviours ?max_states ?stats ?jobs ?pool
           {
             Explorer.graph_initial =
               {
-                threads = Array.of_list sys.System.initial;
-                buffers =
-                  Array.make (List.length sys.System.initial) B.empty;
+                threads;
+                tkeys =
+                  Array.map
+                    (fun ts -> Par.Intern.id tkey (sys.System.key ts))
+                    threads;
+                buffers = Array.make (Array.length threads) B.empty;
                 mem = Location.Map.empty;
                 locks = Monitor.Map.empty;
               };
-            graph_transitions = (fun st -> transitions vol sys st);
-            graph_digest = (fun st -> digest ~tkey ~lkey ~mkey sys st);
+            graph_transitions = (fun st -> transitions ~tkey vol sys st);
+            graph_digest = (fun st -> digest ~lkey ~mkey st);
           })
 
   let program_behaviours ?fuel ?max_states ?stats ?jobs ?pool

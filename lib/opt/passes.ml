@@ -175,11 +175,11 @@ let fixpoint rules p =
     match Transform.program_rewrites rules p with
     | [] -> (p, List.rev chain_rev)
     | s :: _ ->
-        let k = Pp.program_to_string s.Transform.after in
-        if List.mem k seen then (p, List.rev chain_rev)
-        else go s.Transform.after (s :: chain_rev) (k :: seen)
+        let q = s.Transform.after in
+        if List.exists (Ast.equal_program q) seen then (p, List.rev chain_rev)
+        else go q (s :: chain_rev) (q :: seen)
   in
-  go p [] [ Pp.program_to_string p ]
+  go p [] [ p ]
 
 let eliminate_redundancy p = fixpoint Rule.eliminations p
 

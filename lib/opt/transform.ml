@@ -80,24 +80,29 @@ let program_rewrites rules (p : Ast.program) =
            p.Ast.threads))
     rules
 
-let program_key p = Pp.program_to_string p
+(* Programs seen by the rewrite searches, by structural identity. *)
+module Program_tbl = Hashtbl.Make (struct
+  type t = Ast.program
+
+  let equal = Ast.equal_program
+  let hash = Ast.hash_program
+end)
 
 let reachable ?(max_programs = 10_000) rules p =
-  let seen = Hashtbl.create 97 in
+  let seen = Program_tbl.create 97 in
   let out = ref [] in
   let queue = Queue.create () in
   Queue.add p queue;
-  Hashtbl.add seen (program_key p) ();
+  Program_tbl.add seen p ();
   (try
      while not (Queue.is_empty queue) do
        let q = Queue.pop queue in
        out := q :: !out;
-       if Hashtbl.length seen < max_programs then
+       if Program_tbl.length seen < max_programs then
          List.iter
            (fun s ->
-             let k = program_key s.after in
-             if not (Hashtbl.mem seen k) then begin
-               Hashtbl.add seen k ();
+             if not (Program_tbl.mem seen s.after) then begin
+               Program_tbl.add seen s.after ();
                Queue.add s.after queue
              end)
            (program_rewrites rules q)
@@ -106,21 +111,19 @@ let reachable ?(max_programs = 10_000) rules p =
   List.rev !out
 
 let find_chain ?(max_programs = 10_000) rules ~source ~target =
-  let target_key = program_key target in
-  let seen : (string, chain) Hashtbl.t = Hashtbl.create 97 in
+  let seen : chain Program_tbl.t = Program_tbl.create 97 in
   let queue = Queue.create () in
   Queue.add (source, []) queue;
-  Hashtbl.add seen (program_key source) [];
+  Program_tbl.add seen source [];
   let found = ref None in
   while (not (Queue.is_empty queue)) && !found = None do
     let q, chain_rev = Queue.pop queue in
-    if program_key q = target_key then found := Some (List.rev chain_rev)
-    else if Hashtbl.length seen < max_programs then
+    if Ast.equal_program q target then found := Some (List.rev chain_rev)
+    else if Program_tbl.length seen < max_programs then
       List.iter
         (fun s ->
-          let k = program_key s.after in
-          if not (Hashtbl.mem seen k) then begin
-            Hashtbl.add seen k (s :: chain_rev);
+          if not (Program_tbl.mem seen s.after) then begin
+            Program_tbl.add seen s.after (s :: chain_rev);
             Queue.add (s.after, s :: chain_rev) queue
           end)
         (program_rewrites rules q)

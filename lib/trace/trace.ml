@@ -2,6 +2,10 @@ type t = Action.t list
 
 let equal = List.equal Action.equal
 let compare = List.compare Action.compare
+
+let hash t =
+  List.fold_left (fun h a -> ((h * 65599) + Action.hash a) land max_int) 0 t
+
 let pp = Fmt.(brackets (list ~sep:semi Action.pp))
 let to_string = Fmt.to_to_string pp
 let length = List.length

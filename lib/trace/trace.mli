@@ -9,6 +9,12 @@ type t = Action.t list
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val hash : t -> int
+(** Compatible with {!equal}; folds over every action, so long traces
+    that differ only at the end still hash apart (the polymorphic
+    [Hashtbl.hash] stops after a bounded prefix). *)
+
 val pp : t Fmt.t
 val to_string : t -> string
 

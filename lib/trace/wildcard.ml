@@ -17,6 +17,13 @@ let compare_elt a b =
 let equal = List.equal equal_elt
 let compare = List.compare compare_elt
 
+let hash_elt = function
+  | Concrete a -> Action.hash a
+  | Wild_read l -> Location.hash l
+
+let hash t =
+  List.fold_left (fun h e -> ((h * 65599) + hash_elt e) land max_int) 0 t
+
 let pp_elt ppf = function
   | Concrete a -> Action.pp ppf a
   | Wild_read l -> Fmt.pf ppf "R[%a=*]" Location.pp l

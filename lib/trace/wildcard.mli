@@ -16,6 +16,11 @@ type t = elt list
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val hash : t -> int
+(** Compatible with {!equal}; folds over every element, like
+    {!Trace.hash}. *)
+
 val pp : t Fmt.t
 val pp_elt : elt Fmt.t
 val to_string : t -> string

@@ -137,6 +137,89 @@ let test_negative () =
     (Elimination.is_elimination none ~original:orig2 ~universe:[ 0; 1 ]
        ~transformed:bad2)
 
+(* --- memoised membership = unmemoised membership ---------------------- *)
+
+(* A case: a per-thread traceset (the bounded denotation of a generated
+   thread), and queries drawn from its own traces, from their
+   restrictions (likely eliminations) and from random traces, each
+   asked twice so that the second round hits the memo tables. *)
+type memo_case = {
+  thread : Safeopt_lang.Ast.thread;
+  vol : Location.Volatile.t;
+  proper : bool;
+  original : Traceset.t;
+  universe : Value.t list;
+  queries : Trace.t list;
+}
+
+let memo_case =
+  let open QCheck2.Gen in
+  let* thread = Safeopt_gen.Generators.thread in
+  let* volatile = bool in
+  let* proper = bool in
+  let vol = if volatile then vol_v else none in
+  let universe =
+    Safeopt_lang.Denote.universe (Safeopt_lang.Ast.program [ thread ])
+  in
+  let original, _ =
+    Safeopt_lang.Denote.thread_traces ~max_traces:400 ~universe ~max_len:6
+      ~tid:0 thread
+  in
+  (* Dropping only reads asks for the wildcard generalisations (an
+     irrelevant read must be a wildcard to be eliminated), so these
+     queries exercise the belongs-to memo; dropping anything else
+     mostly yields non-members. *)
+  let restriction ~only_reads =
+    let* t = oneofl (Traceset.to_list original) in
+    let* keep = list_repeat (List.length t) bool in
+    return
+      (Trace.filteri
+         (fun i a ->
+           i = 0 || List.nth keep i || (only_reads && not (Action.is_read a)))
+         t)
+  in
+  let* own = list_size (int_range 0 3) (oneofl (Traceset.to_list original)) in
+  let* restricted =
+    list_size (int_range 1 5)
+      (bind bool (fun only_reads -> restriction ~only_reads))
+  in
+  let* random = list_size (int_range 0 3) Safeopt_gen.Generators.trace in
+  let queries = own @ restricted @ random in
+  let* again = shuffle_l queries in
+  return
+    { thread; vol; proper; original; universe; queries = queries @ again }
+
+let print_memo_case c =
+  Fmt.str "@[<v>thread: %s@ proper: %b@ queries: %a@]"
+    (Safeopt_lang.Pp.thread_compact c.thread)
+    c.proper
+    Fmt.(list ~sep:sp Trace.pp)
+    c.queries
+
+let test_memoised_member () =
+  let members = ref 0 and non_members = ref 0 in
+  let prop c =
+    let memo =
+      Elimination.memoised_member ~proper:c.proper c.vol ~original:c.original
+        ~universe:c.universe
+    in
+    List.for_all
+      (fun t ->
+        let expected =
+          Elimination.is_member ~proper:c.proper c.vol ~original:c.original
+            ~universe:c.universe t
+        in
+        incr (if expected then members else non_members);
+        Bool.equal (memo t) expected)
+      c.queries
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"memoised_member = is_member" ~count:150
+       ~print:print_memo_case memo_case prop);
+  (* Both verdicts must occur, or the agreement says little. *)
+  check_b "some queries are members" true (!members > 0);
+  check_b "some queries are not" true (!non_members > 0)
+
 let () =
   Alcotest.run "elimination"
     [
@@ -148,5 +231,7 @@ let () =
           Alcotest.test_case "section-4 tracesets" `Quick test_sec4_tracesets;
           Alcotest.test_case "closure membership" `Quick test_is_member;
           Alcotest.test_case "negative cases" `Quick test_negative;
+          Alcotest.test_case "memoised membership = unmemoised" `Quick
+            test_memoised_member;
         ] );
     ]

@@ -130,12 +130,39 @@ let test_run_sequential () =
   Alcotest.(check int) "memory updated" 4 (read "y")
 
 let test_config_key () =
+  let loop = Parser.parse_thread "while (r1 == 0) { r1 := x; } print r1;" in
+  let p = Ast.program [ [ Ast.Print "r" ]; [ Ast.Skip ]; loop ] in
+  let codes = Thread_system.codes p in
+  let key = Thread_system.config_key codes in
   let c1 = conf [ Ast.Print "r" ] and c2 = conf [ Ast.Print "r" ] in
-  Alcotest.(check string) "equal configs equal keys"
-    (Semantics.config_key c1) (Semantics.config_key c2);
+  Alcotest.(check string) "equal configs equal keys" (key c1) (key c2);
   check_b "different code different keys" true
-    (Semantics.config_key (conf [ Ast.Skip ])
-    <> Semantics.config_key (conf [ Ast.Print "r" ]))
+    (key (conf [ Ast.Skip ]) <> key (conf [ Ast.Print "r" ]));
+  let with_reg v = { c1 with Semantics.regs = Reg.Map.singleton "r" v } in
+  check_b "different registers different keys" true
+    (key (with_reg 1) <> key (with_reg 2) && key (with_reg 1) <> key c1);
+  Alcotest.(check string) "zero register same as absent" (key c1)
+    (key (with_reg 0));
+  let with_mon d =
+    { c1 with Semantics.mons = Safeopt_trace.Monitor.Map.singleton "m" d }
+  in
+  check_b "different monitors different keys" true
+    (key (with_mon 1) <> key (with_mon 2) && key (with_mon 1) <> key c1);
+  Alcotest.(check string) "zero depth same as absent" (key c1)
+    (key (with_mon 0));
+  (* Continuations built by unrolling the loop are numbered too, and an
+     unrolling that returns to the loop head gets the head's key. *)
+  let head = conf loop in
+  let turn v =
+    match Semantics.next head with
+    | Semantics.Read (_, k) -> k v
+    | _ -> Alcotest.fail "expected the loop's read"
+  in
+  Alcotest.(check string) "loop head after one turn" (key head) (key (turn 0));
+  check_b "register tells turns apart" true (key head <> key (turn 5));
+  Alcotest.check_raises "foreign code rejected"
+    (Invalid_argument "Thread_system: continuation outside the program")
+    (fun () -> ignore (key (conf [ Ast.Print "q" ])))
 
 let () =
   Alcotest.run "semantics"
