@@ -23,6 +23,16 @@ let claim name expected actual =
 let behaviours_str p =
   String.concat " | " (Interp.behaviour_strings (Interp.behaviours p))
 
+(* The unreduced SC engine ([Explorer] without [~local]).  [Interp]
+   always explores under the partial-order reduction; the exploration
+   experiments keep measuring the full engine against their fixed
+   anchors, and the reduction is checked against it. *)
+let full_count_states ?pool p =
+  Explorer.count_states ?pool (Thread_system.make p)
+
+let full_behaviours ?stats ?pool p =
+  Explorer.behaviours ?stats ?pool (Thread_system.make p)
+
 (* ------------------------------------------------------------------ *)
 (* E1: the section-1 motivating example                                *)
 (* ------------------------------------------------------------------ *)
@@ -459,7 +469,7 @@ let p1 () =
   List.iter
     (fun n ->
       let p = writer_reader_program n in
-      let states = Interp.count_states p in
+      let states = full_count_states p in
       let bs = Behaviour.Set.cardinal (Interp.behaviours p) in
       Fmt.pr "  %-8d %-12d %-14d %-12b@." n states bs (Interp.is_drf p))
     [ 1; 2; 3; 4 ]
@@ -483,8 +493,8 @@ let p2 () =
   List.iter
     (fun (n, k) ->
       let p = private_work_program n k in
-      let full = Interp.count_states p in
-      let por = Interp.count_states ~por:true p in
+      let full = full_count_states p in
+      let por = Interp.count_states p in
       Fmt.pr "  %dt x %d private     %-14d %-12d %.1fx@." n k full por
         (float_of_int full /. float_of_int (max 1 por)))
     [ (2, 2); (2, 4); (3, 2); (3, 3) ];
@@ -492,8 +502,7 @@ let p2 () =
     (List.for_all
        (fun (n, k) ->
          let p = private_work_program n k in
-         Behaviour.Set.equal (Interp.behaviours p)
-           (Interp.behaviours ~por:true p))
+         Behaviour.Set.equal (full_behaviours p) (Interp.behaviours p))
        [ (2, 2); (2, 4); (3, 2); (3, 3) ])
 
 (* ------------------------------------------------------------------ *)
@@ -571,19 +580,18 @@ let explore_bench ?(quick = false) () =
   let reps = if quick then 5 else 20 in
   let scale_anchor w = w *. float_of_int reps /. 20. in
   let count_run por () =
+    let count p = if por then Interp.count_states p else full_count_states p in
     let acc = ref 0 in
     for _ = 1 to reps do
-      List.iter (fun p -> acc := !acc + Interp.count_states ~por p) programs
+      List.iter (fun p -> acc := !acc + count p) programs
     done;
     !acc
   in
   let beh_run por () =
+    let beh p = if por then Interp.behaviours p else full_behaviours p in
     let acc = ref 0 in
     for _ = 1 to reps do
-      List.iter
-        (fun p ->
-          acc := !acc + Behaviour.Set.cardinal (Interp.behaviours ~por p))
-        programs
+      List.iter (fun p -> acc := !acc + Behaviour.Set.cardinal (beh p)) programs
     done;
     !acc
   in
@@ -601,9 +609,8 @@ let explore_bench ?(quick = false) () =
   let identical =
     List.for_all
       (fun p ->
-        Behaviour.Set.equal
-          (Interp.behaviours ~stats p)
-          (Interp.behaviours ~por:true ~stats p))
+        Behaviour.Set.equal (full_behaviours ~stats p)
+          (Interp.behaviours ~stats p))
       programs
   in
   Fmt.pr "  %-18s %-10s %-12s %-14s %s@." "experiment" "total" "wall (s)"
@@ -789,7 +796,7 @@ let parallel_bench ?(quick = false) ~jobs () =
         for _ = 1 to reps do
           List.iter
             (fun p ->
-              acc := !acc + Behaviour.Set.cardinal (Interp.behaviours ?pool p))
+              acc := !acc + Behaviour.Set.cardinal (full_behaviours ?pool p))
             all
         done;
         !acc
@@ -797,7 +804,7 @@ let parallel_bench ?(quick = false) ~jobs () =
       let count ?pool () =
         let acc = ref 0 in
         for _ = 1 to reps do
-          List.iter (fun p -> acc := !acc + Interp.count_states ?pool p) all
+          List.iter (fun p -> acc := !acc + full_count_states ?pool p) all
         done;
         !acc
       in
@@ -846,8 +853,7 @@ let parallel_bench ?(quick = false) ~jobs () =
       let identical =
         List.for_all
           (fun p ->
-            Behaviour.Set.equal (Interp.behaviours p)
-              (Interp.behaviours ~pool p))
+            Behaviour.Set.equal (full_behaviours p) (full_behaviours ~pool p))
           all
       in
       (* Exact reduced-count parity per program — the property the
@@ -857,8 +863,7 @@ let parallel_bench ?(quick = false) ~jobs () =
       let states_parity =
         List.for_all
           (fun p ->
-            Interp.count_states ~por:true p
-            = Interp.count_states ~por:true ~stats:pstats ~pool p)
+            Interp.count_states p = Interp.count_states ~stats:pstats ~pool p)
           all
       in
       Fmt.pr "  steals: %d, starvation waits: %d (reduced corpus pass)@."
@@ -867,7 +872,7 @@ let parallel_bench ?(quick = false) ~jobs () =
          per point, sequential baseline at jobs 1. *)
       let _, w1 =
         time (fun () ->
-            List.iter (fun p -> ignore (Interp.count_states p)) all)
+            List.iter (fun p -> ignore (full_count_states p)) all)
       in
       let curve_points =
         List.sort_uniq compare
@@ -880,7 +885,7 @@ let parallel_bench ?(quick = false) ~jobs () =
                 let _, wj =
                   time (fun () ->
                       List.iter
-                        (fun p -> ignore (Interp.count_states ~pool:pl p))
+                        (fun p -> ignore (full_count_states ~pool:pl p))
                         all)
                 in
                 let sp =
@@ -1539,9 +1544,9 @@ let bechamel_tests () =
            let p = private_work_program n k in
            [
              t (Printf.sprintf "full_%dt_%dp" n k) (fun () ->
-                 Interp.count_states p);
+                 full_count_states p);
              t (Printf.sprintf "por_%dt_%dp" n k) (fun () ->
-                 Interp.count_states ~por:true p);
+                 Interp.count_states p);
            ])
          [ (2, 2); (3, 2) ]);
     Test.make_grouped ~name:"infrastructure"

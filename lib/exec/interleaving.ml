@@ -122,43 +122,44 @@ let is_interleaving_of ts i =
 
 let location_of_index i k = Action.location (nth i k).action
 
+(* An RMW is both a read (of its first value) and a write (of its
+   second): it must see the most recent write, and later reads see it. *)
+let read_view = function
+  | Action.Read (l, v) | Action.Rmw (l, v, _) -> Some (l, v)
+  | _ -> None
+
+let write_view = function
+  | Action.Write (l, v) | Action.Rmw (l, _, v) -> Some (l, v)
+  | _ -> None
+
+let writes_between i l lo hi =
+  List.exists
+    (fun j ->
+      j > lo && j < hi
+      &&
+      match write_view (nth i j).action with
+      | Some (l', _) -> Location.equal l l'
+      | None -> false)
+    (dom i)
+
 let sees_write i r w =
   w < r && r < length i
   &&
-  match ((nth i r).action, (nth i w).action) with
-  | Action.Read (l, v), Action.Write (l', v') ->
-      Location.equal l l' && Value.equal v v'
-      && List.for_all
-           (fun j ->
-             not
-               (j > w && j < r
-               &&
-               match (nth i j).action with
-               | Action.Write (l'', _) -> Location.equal l l''
-               | _ -> false))
-           (dom i)
+  match (read_view (nth i r).action, write_view (nth i w).action) with
+  | Some (l, v), Some (l', v') ->
+      Location.equal l l' && Value.equal v v' && not (writes_between i l w r)
   | _ -> false
 
 let sees_default i r =
-  match (nth i r).action with
-  | Action.Read (l, v) ->
-      Value.is_default v
-      && List.for_all
-           (fun j ->
-             not
-               (j < r
-               &&
-               match (nth i j).action with
-               | Action.Write (l', _) -> Location.equal l l'
-               | _ -> false))
-           (dom i)
-  | _ -> false
+  match read_view (nth i r).action with
+  | Some (l, v) -> Value.is_default v && not (writes_between i l (-1) r)
+  | None -> false
 
 let sees_most_recent_write i r =
-  match (nth i r).action with
-  | Action.Read _ ->
+  match read_view (nth i r).action with
+  | Some _ ->
       sees_default i r || List.exists (fun w -> sees_write i r w) (dom i)
-  | _ -> true
+  | None -> true
 
 let is_sequentially_consistent i =
   List.for_all (fun k -> sees_most_recent_write i k) (dom i)
@@ -175,9 +176,9 @@ let behaviour i =
 let memory_after i =
   List.fold_left
     (fun m p ->
-      match p.action with
-      | Action.Write (l, v) -> Location.Map.add l v m
-      | _ -> m)
+      match write_view p.action with
+      | Some (l, v) -> Location.Map.add l v m
+      | None -> m)
     Location.Map.empty i
 
 let _ = location_of_index

@@ -60,11 +60,12 @@ val is_interleaving_of : Traceset.t -> t -> bool
 val sees_write : t -> int -> int -> bool
 (** [sees_write i r w]: index [r] is a read, [w < r] is a write to the
     same location with the same value, and no write to that location
-    lies strictly between them. *)
+    lies strictly between them.  An RMW counts as both: a read of its
+    first value and a write of its second. *)
 
 val sees_default : t -> int -> bool
-(** [r] reads the default value and no earlier write to its location
-    exists. *)
+(** [r] reads the default value and no earlier write (or RMW) to its
+    location exists. *)
 
 val sees_most_recent_write : t -> int -> bool
 (** [r] sees the default value, or sees some write, or is not a read. *)

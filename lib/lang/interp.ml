@@ -1,15 +1,15 @@
 open Safeopt_trace
 open Safeopt_exec
 
-let behaviours ?fuel ?max_states ?(por = false) ?stats ?jobs ?pool p =
-  let local =
-    if por then Some (Thread_system.local_actions p) else None
-  in
-  Explorer.behaviours ?max_states ?local ?stats ?jobs ?pool
+let behaviours ?fuel ?max_states ?stats ?jobs ?pool p =
+  Explorer.behaviours ?max_states ~local:(Thread_system.local_actions p)
+    ?stats ?jobs ?pool
     (Thread_system.make ?fuel p)
 
 let find_race ?fuel ?max_states ?stats ?jobs ?pool p =
-  Explorer.find_adjacent_race ?max_states ?stats ?jobs ?pool p.Ast.volatile
+  Explorer.find_adjacent_race ?max_states
+    ~local:(Thread_system.local_actions p)
+    ?stats ?jobs ?pool p.Ast.volatile
     (Thread_system.make ?fuel p)
 
 let is_drf ?fuel ?max_states ?stats ?jobs ?pool p =
@@ -22,11 +22,9 @@ let maximal_executions_seq ?fuel ?max_steps ?stats p =
   Explorer.maximal_executions_seq ?max_steps ?stats
     (Thread_system.make ?fuel p)
 
-let count_states ?fuel ?max_states ?(por = false) ?stats ?jobs ?pool p =
-  let local =
-    if por then Some (Thread_system.local_actions p) else None
-  in
-  Explorer.count_states ?max_states ?local ?stats ?jobs ?pool
+let count_states ?fuel ?max_states ?stats ?jobs ?pool p =
+  Explorer.count_states ?max_states ~local:(Thread_system.local_actions p)
+    ?stats ?jobs ?pool
     (Thread_system.make ?fuel p)
 
 let find_deadlock ?fuel ?max_states ?stats p =

@@ -5,7 +5,12 @@
     executions — the paper's section-3 notions computed for concrete
     programs.  Every analysis accepts an optional [stats] sink
     ({!Safeopt_exec.Explorer.stats}) that accumulates states visited,
-    memo hits, POR cuts, peak frontier depth and wall time. *)
+    memo hits, POR cuts, peak frontier depth and wall time.
+
+    {!behaviours}, {!count_states}, {!is_drf} and {!find_race} always
+    explore under the partial-order reduction seeded with
+    {!Thread_system.local_actions}; the unreduced engine is
+    [Safeopt_exec.Explorer] called without [~local]. *)
 
 open Safeopt_trace
 open Safeopt_exec
@@ -13,18 +18,15 @@ open Safeopt_exec
 val behaviours :
   ?fuel:int ->
   ?max_states:int ->
-  ?por:bool ->
   ?stats:Explorer.stats ->
   ?jobs:int ->
   ?pool:Par.Pool.t ->
   Ast.program ->
   Behaviour.Set.t
 (** All observable behaviours of all SC executions (prefix-closed).
-    [por] (default false) enables the partial-order reduction seeded
-    with {!Thread_system.local_actions}; the result is unchanged, the
-    exploration usually smaller.  [jobs]/[pool] run the exploration
-    across domains ([Safeopt_exec.Par]); the behaviour set is identical
-    to the sequential one. *)
+    [jobs]/[pool] run the exploration across domains
+    ([Safeopt_exec.Par]); the behaviour set is identical to the
+    sequential one. *)
 
 val is_drf :
   ?fuel:int ->
@@ -62,7 +64,6 @@ val maximal_executions_seq :
 val count_states :
   ?fuel:int ->
   ?max_states:int ->
-  ?por:bool ->
   ?stats:Explorer.stats ->
   ?jobs:int ->
   ?pool:Par.Pool.t ->

@@ -71,3 +71,19 @@ let contains_substring s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
+
+(* The unreduced SC engine: [Explorer] over the program's thread system
+   without [~local].  [Interp] always explores under the partial-order
+   reduction, so every reduced ≡ full check compares against these. *)
+let full_behaviours ?fuel ?max_states ?stats ?pool p =
+  Safeopt_exec.Explorer.behaviours ?max_states ?stats ?pool
+    (Safeopt_lang.Thread_system.make ?fuel p)
+
+let full_count_states ?fuel ?max_states ?stats ?pool p =
+  Safeopt_exec.Explorer.count_states ?max_states ?stats ?pool
+    (Safeopt_lang.Thread_system.make ?fuel p)
+
+let full_find_race ?fuel ?max_states ?stats ?pool p =
+  Safeopt_exec.Explorer.find_adjacent_race ?max_states ?stats ?pool
+    p.Safeopt_lang.Ast.volatile
+    (Safeopt_lang.Thread_system.make ?fuel p)

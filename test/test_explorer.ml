@@ -165,24 +165,34 @@ let test_stats_consistent () =
         (s.Explorer.peak_frontier >= 1
         && s.Explorer.peak_frontier <= s.Explorer.states);
       check "wall time accumulates" true (s.Explorer.wall >= 0.);
+      (* like with like: the reduced behaviours run against the reduced
+         count above, the unreduced engine against itself *)
       let s' = Explorer.create_stats () in
       let (_ : Behaviour.Set.t) = Interp.behaviours ~stats:s' p in
       check "behaviours visits = count_states visits" true
         (s'.Explorer.states = n);
       check "memo hits bounded by edges" true
-        (s'.Explorer.memo_hits <= s'.Explorer.edges))
+        (s'.Explorer.memo_hits <= s'.Explorer.edges);
+      let f = Explorer.create_stats () and f' = Explorer.create_stats () in
+      let nf = full_count_states ~stats:f p in
+      let (_ : Behaviour.Set.t) = full_behaviours ~stats:f' p in
+      check "unreduced behaviours visits = unreduced count_states visits"
+        true
+        (nf = f.Explorer.states && f'.Explorer.states = nf);
+      check "unreduced memo hits bounded by edges" true
+        (f'.Explorer.memo_hits <= f'.Explorer.edges))
     (corpus_programs ())
 
 (* Counters are monotone: re-running on the same sink only grows them. *)
 let test_stats_monotone () =
   let p = Litmus.program Corpus.sb in
   let s = Explorer.create_stats () in
-  let (_ : Behaviour.Set.t) = Interp.behaviours ~stats:s p in
+  let (_ : Behaviour.Set.t) = full_behaviours ~stats:s p in
   let snap =
     Explorer.
       (s.states, s.edges, s.memo_hits, s.por_cuts, s.peak_frontier, s.wall)
   in
-  let (_ : Behaviour.Set.t) = Interp.behaviours ~por:true ~stats:s p in
+  let (_ : Behaviour.Set.t) = Interp.behaviours ~stats:s p in
   let states0, edges0, hits0, cuts0, peak0, wall0 = snap in
   check "states grew" true (s.Explorer.states >= states0);
   check "edges grew" true (s.Explorer.edges >= edges0);
@@ -201,8 +211,8 @@ let test_por_cuts () =
   List.iter
     (fun p ->
       let s = Explorer.create_stats () in
-      let reduced = Interp.count_states ~por:true ~stats:s p in
-      let full = Interp.count_states p in
+      let reduced = Interp.count_states ~stats:s p in
+      let full = full_count_states p in
       check "reduced <= full" true (reduced <= full);
       cuts := !cuts + s.Explorer.por_cuts)
     (corpus_programs ());
@@ -216,8 +226,7 @@ let test_por_sound_on_corpus () =
       check
         (Printf.sprintf "POR behaviours equal on %s" t.Litmus.name)
         true
-        (Behaviour.Set.equal (Interp.behaviours p)
-           (Interp.behaviours ~por:true p)))
+        (Behaviour.Set.equal (full_behaviours p) (Interp.behaviours p)))
     Corpus.all (corpus_programs ())
 
 (* Streaming: taking the first maximal execution must traverse far

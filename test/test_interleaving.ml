@@ -91,6 +91,27 @@ let test_sc () =
     (Interleaving.is_sequentially_consistent shadowed);
   check_b "execution of" true (Interleaving.is_execution_of ts1 i1)
 
+(* An RMW is a read of its first value and a write of its second. *)
+let test_sc_rmw () =
+  let u l r w = Action.Rmw (l, r, w) in
+  let ok =
+    il [ (0, st 0); (1, st 1); (0, u "x" 0 1); (1, u "x" 1 2); (1, r "x" 2) ]
+  in
+  check_b "rmw chain is SC" true (Interleaving.is_sequentially_consistent ok);
+  check_b "a read sees the rmw's write" true (Interleaving.sees_write ok 4 3);
+  check_b "the first rmw sees the default" true
+    (Interleaving.sees_default ok 2);
+  let stale_rmw = il [ (0, st 0); (0, w "x" 1); (0, u "x" 0 2) ] in
+  check_b "rmw reading a stale value is not SC" false
+    (Interleaving.is_sequentially_consistent stale_rmw);
+  let shadowed_by_rmw =
+    il [ (0, st 0); (0, w "x" 1); (0, u "x" 1 2); (0, r "x" 1) ]
+  in
+  check_b "a read past an rmw must see it" false
+    (Interleaving.is_sequentially_consistent shadowed_by_rmw);
+  Alcotest.(check (option int)) "final memory holds the rmw's write" (Some 2)
+    (Location.Map.find_opt "x" (Interleaving.memory_after ok))
+
 let test_behaviour_memory () =
   Alcotest.check behaviour "behaviour" [ 1 ] (Interleaving.behaviour i1);
   Alcotest.(check (option int)) "final x" (Some 1)
@@ -124,6 +145,8 @@ let () =
           Alcotest.test_case "mutual exclusion" `Quick test_mutex;
           Alcotest.test_case "interleaving-of" `Quick test_interleaving_of;
           Alcotest.test_case "sequential consistency" `Quick test_sc;
+          Alcotest.test_case "sequential consistency with RMWs" `Quick
+            test_sc_rmw;
           Alcotest.test_case "behaviour and memory" `Quick
             test_behaviour_memory;
           Alcotest.test_case "wildcard instance" `Quick test_wild_instance;

@@ -163,7 +163,20 @@ let test_corpus_determinism () =
       if Interp.is_drf p <> Interp.is_drf ~pool p then
         Alcotest.failf "%s: parallel DRF verdict differs" t.Litmus.name;
       if Interp.count_states p <> Interp.count_states ~pool p then
-        Alcotest.failf "%s: parallel state count differs" t.Litmus.name)
+        Alcotest.failf "%s: parallel state count differs" t.Litmus.name;
+      (* the unreduced engine, the reference of every POR check *)
+      if not (Behaviour.Set.equal (full_behaviours p) (full_behaviours ~pool p))
+      then
+        Alcotest.failf "%s: unreduced parallel behaviours differ"
+          t.Litmus.name;
+      if Option.is_some (full_find_race p)
+         <> Option.is_some (full_find_race ~pool p)
+      then
+        Alcotest.failf "%s: unreduced parallel DRF verdict differs"
+          t.Litmus.name;
+      if full_count_states p <> full_count_states ~pool p then
+        Alcotest.failf "%s: unreduced parallel state count differs"
+          t.Litmus.name)
     Corpus.all
 
 (* A one-shot ?jobs call (no pre-built pool) takes the pool-per-call
@@ -198,16 +211,21 @@ let qcheck_jobs_parity =
          "count_states and behaviours identical across jobs {1,2,4} (300 \
           random programs, POR on and off)"
        ~count:300 ~print:Generators.print_program Generators.program (fun p ->
-         let parity por =
-           let b1 = Interp.behaviours ~por p in
-           let c1 = Interp.count_states ~por p in
+         let parity beh count =
+           let b1 = beh ?pool:None p in
+           let c1 = count ?pool:None p in
            List.for_all
              (fun pl ->
-               Behaviour.Set.equal b1 (Interp.behaviours ~por ~pool:pl p)
-               && c1 = Interp.count_states ~por ~pool:pl p)
+               Behaviour.Set.equal b1 (beh ?pool:(Some pl) p)
+               && c1 = count ?pool:(Some pl) p)
              [ pool2; pool ]
          in
-         parity false && parity true))
+         parity
+           (fun ?pool p -> full_behaviours ?pool p)
+           (fun ?pool p -> full_count_states ?pool p)
+         && parity
+              (fun ?pool p -> Interp.behaviours ?pool p)
+              (fun ?pool p -> Interp.count_states ?pool p)))
 
 (* Acceptance criterion: POR-reduced state counts match exactly across
    jobs 1/2/4 on the full litmus corpus. *)
@@ -215,9 +233,9 @@ let test_corpus_por_parity () =
   List.iter
     (fun (t : Litmus.t) ->
       let p = Litmus.program t in
-      let c1 = Interp.count_states ~por:true p in
-      let c2 = Interp.count_states ~por:true ~pool:pool2 p in
-      let c4 = Interp.count_states ~por:true ~pool p in
+      let c1 = Interp.count_states p in
+      let c2 = Interp.count_states ~pool:pool2 p in
+      let c4 = Interp.count_states ~pool p in
       if not (c1 = c2 && c2 = c4) then
         Alcotest.failf
           "%s: reduced state counts differ across jobs (1:%d 2:%d 4:%d)"
