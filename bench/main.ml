@@ -961,17 +961,23 @@ let parallel_bench ?(quick = false) ~jobs () =
 (* P6: thread-local refinement validator -> BENCH_refine.json          *)
 (* ------------------------------------------------------------------ *)
 
-(* n threads, each reading a thread-private location twice and printing
-   the second read — E-RAR's redundant read, once per thread.  All
-   locations are private, so the per-thread tracesets stay constant as
-   n grows while the interleaving count (the exhaustive validator's
-   cost) explodes: the separation the refinement validator exploits. *)
+(* n threads, each reading the shared location x twice and printing
+   both reads — E-RAR's redundant read, once per thread.  The per-thread
+   tracesets stay constant as n grows while the interleaving count (the
+   exhaustive validator's cost) explodes: the separation the refinement
+   validator exploits.  The location is shared so that the explorer's
+   thread-local reduction cannot collapse the reads, as it would for
+   thread-private locations. *)
 let redundant_read_program n =
   {
     Ast.threads =
-      List.init n (fun i ->
-          let x = Printf.sprintf "x%d" i in
-          [ Ast.Load ("r1", x); Ast.Load ("r2", x); Ast.Print "r2" ]);
+      List.init n (fun _ ->
+          [
+            Ast.Load ("r1", "x");
+            Ast.Load ("r2", "x");
+            Ast.Print "r2";
+            Ast.Print "r1";
+          ]);
     volatile = Location.Volatile.none;
   }
 
@@ -992,10 +998,16 @@ let redundant_read_program n =
       budget while refinement still answers (and its per-thread
       verdicts carry completeness, so the answer is sound).
 
-   [quick] trims the corpus sweep — the CI smoke mode. *)
+   [quick] trims the corpus sweep — the smoke mode.  Every claim is a
+   gate: the result is [false] when any claim mismatches. *)
 let refine_bench ?(quick = false) () =
   let open Safeopt_opt in
   hr "P6: thread-local refinement validator -> BENCH_refine.json";
+  let all_hold = ref true in
+  let claim name expected actual =
+    claim name expected actual;
+    if expected <> actual then all_hold := false
+  in
   let corpus =
     if quick then List.filteri (fun i _ -> i < 6) Corpus.all else Corpus.all
   in
@@ -1026,6 +1038,17 @@ let refine_bench ?(quick = false) () =
   let refine_misses = counter "validate.refine_misses" in
   let exhaustive_runs = counter "validate.exhaustive_runs" in
   let exh_runs, exh_wall = time (fun () -> sweep Validate.Exhaustive) in
+  (* A sweep takes milliseconds, too short for one sample to compare:
+     each wall is the best of [sweep_reps] sweeps, the first auto sweep
+     (the only one with metrics on) included. *)
+  let sweep_reps = 3 in
+  let best_of first validator =
+    List.init (sweep_reps - 1) (fun _ ->
+        snd (time (fun () -> sweep validator)))
+    |> List.fold_left Float.min first
+  in
+  let auto_wall = best_of auto_wall Validate.Auto in
+  let exh_wall = best_of exh_wall Validate.Exhaustive in
   let verdict (o : Pipeline.outcome) =
     match o.Pipeline.failure with
     | None -> "ok"
@@ -1056,6 +1079,11 @@ let refine_bench ?(quick = false) () =
     all_agree;
   claim "majority of validations decided without interleavings" true
     (2 * decided_fast > outcomes);
+  (* a timing claim needs the whole corpus: the quick sweep is too
+     short to compare *)
+  if not quick then
+    claim "auto sweep within 2x of the exhaustive sweep" true
+      (auto_wall <= 2. *. exh_wall);
   (* scaling: refinement answers where enumeration exceeds its budget *)
   let state_budget = 200_000 in
   Fmt.pr "  %-8s %-14s %-12s %-22s@." "threads" "refine (ms)" "verdict"
@@ -1142,6 +1170,7 @@ let refine_bench ?(quick = false) () =
             else float_of_int decided_fast /. float_of_int outcomes);
          Printf.sprintf "  \"auto_wall_s\": %.4f," auto_wall;
          Printf.sprintf "  \"exhaustive_wall_s\": %.4f," exh_wall;
+         Printf.sprintf "  \"sweep_reps\": %d," sweep_reps;
          Printf.sprintf "  \"all_verdicts_agree\": %b," all_agree;
          Printf.sprintf "  \"state_budget\": %d," state_budget;
          "  \"corpus\": [";
@@ -1155,7 +1184,8 @@ let refine_bench ?(quick = false) () =
   output_string oc json;
   output_char oc '\n';
   close_out oc;
-  Fmt.pr "  wrote BENCH_refine.json@."
+  Fmt.pr "  wrote BENCH_refine.json@.";
+  !all_hold
 
 (* ------------------------------------------------------------------ *)
 (* P7: the lock-free atomic pack -> BENCH_rmw.json                     *)
@@ -1595,9 +1625,10 @@ let () =
      [jobs]`) the sequential-vs-parallel comparison
      (BENCH_parallel.json); `-- refine` (or `refine-quick`) the
      validator-ladder differential and scaling comparison
-     (BENCH_refine.json); `-- rmw` the lock-free atomic pack gates
-     (BENCH_rmw.json); `-- portability` (or `portability-quick`) the
-     pass x memory-model matrix (BENCH_portability.json);
+     (BENCH_refine.json; exits 1 when a claim mismatches); `-- rmw` the
+     lock-free atomic pack gates (BENCH_rmw.json); `-- portability` (or
+     `portability-quick`) the pass x memory-model matrix
+     (BENCH_portability.json);
      `-- obs-overhead` the disabled-telemetry cost guard (exits 1 when
      the guards are not free); the default runs the full reproduction
      suite. *)
@@ -1612,8 +1643,9 @@ let () =
   | [| _; "parallel-quick" |] -> parallel_bench ~quick:true ~jobs:2 ()
   | [| _; "parallel-quick"; j |] ->
       parallel_bench ~quick:true ~jobs:(int_of_string j) ()
-  | [| _; "refine" |] -> refine_bench ()
-  | [| _; "refine-quick" |] -> refine_bench ~quick:true ()
+  | [| _; "refine" |] -> if not (refine_bench ()) then exit 1
+  | [| _; "refine-quick" |] ->
+      if not (refine_bench ~quick:true ()) then exit 1
   | [| _; "rmw" |] -> rmw_bench ()
   | [| _; "portability" |] -> portability_bench ()
   | [| _; "portability-quick" |] -> portability_bench ~quick:true ()
@@ -1637,8 +1669,9 @@ let () =
       explore_bench ();
       pipeline_bench ();
       parallel_bench ~jobs:4 ();
-      refine_bench ();
+      let refine_holds = refine_bench () in
       rmw_bench ();
       portability_bench ();
       run_bechamel ();
-      Fmt.pr "@.done.@."
+      Fmt.pr "@.done.@.";
+      if not refine_holds then exit 1

@@ -110,15 +110,30 @@ let check_thread ~vol ~universe ~max_len ~max_traces tid torig ttrans =
       let ts_orig, orig_complete =
         Denote.thread_traces ~max_traces ~universe ~max_len:orig_len ~tid torig
       in
-      let mem =
+      let member =
         Safeopt_core.Elimination.memoised_member vol ~original:ts_orig
           ~universe
       in
-      let unwitnessed =
-        List.find_opt
-          (fun t -> Option.is_none (Safeopt_core.Reorder.find vol t ~mem))
-          (Traceset.to_list ts_trans)
+      let queries = ref 0 and in_original = ref 0 in
+      let mem t =
+        incr queries;
+        member t
       in
+      (* A trace already in the original is witnessed by the identity:
+         the traceset is prefix-closed and the closure contains every
+         member, so the search would only confirm it. *)
+      let witnessed t =
+        if Traceset.mem t ts_orig then begin
+          incr in_original;
+          true
+        end
+        else Option.is_some (Safeopt_core.Reorder.find vol t ~mem)
+      in
+      let unwitnessed =
+        List.find_opt (fun t -> not (witnessed t)) (Traceset.to_list ts_trans)
+      in
+      count "refine.traces_in_original" !in_original;
+      count "refine.member_queries" !queries;
       match unwitnessed with
       | None -> Refines { traces = Traceset.cardinal ts_trans }
       | Some cex ->

@@ -97,10 +97,15 @@ val check :
     enumeration — the dominant fast path, since most passes touch one
     thread.
 
+    A transformed trace that is already an original trace is witnessed
+    by the identity and skips the search.
+
     When the {!Safeopt_obs.Metrics} registry is enabled the check
     publishes [refine.*] counters (checks, per-thread verdict tallies,
-    aggregate verdicts), and a ["refine"] tracer span wraps the
-    analysis. *)
+    aggregate verdicts, and the witness search's cost:
+    [refine.traces_in_original] for the traces that skipped it and
+    [refine.member_queries] for the membership queries it asked), and a
+    ["refine"] tracer span wraps the analysis. *)
 
 val witness :
   original:Ast.program ->

@@ -95,10 +95,20 @@ let generalisations ~belongs_to t =
   |> List.map wildcardise
   |> List.filter belongs_to
 
+let rec is_subsequence small big =
+  match (small, big) with
+  | [], _ -> true
+  | _, [] -> false
+  | a :: small', b :: big' ->
+      if Action.equal a b then is_subsequence small' big'
+      else is_subsequence small big'
+
 let find_witness ?proper vol ~belongs_to ~candidates ~transformed =
-  let tlen = Trace.length transformed in
+  (* Being a subsequence of the candidate is necessary for a witness
+     (see the interface), so others are skipped before any belongs-to
+     check. *)
   let candidates =
-    List.filter (fun t -> Trace.length t >= tlen) candidates
+    List.filter (fun t -> is_subsequence transformed t) candidates
     |> List.sort (fun a b -> Int.compare (Trace.length a) (Trace.length b))
   in
   List.find_map

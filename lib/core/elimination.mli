@@ -59,9 +59,15 @@ val find_witness :
   transformed:Trace.t ->
   witness option
 (** Search for a witness for [transformed]: for every candidate
-    original trace (typically the traces of [T] of length at least
-    [|transformed|]), for every belongs-to generalisation, for every
-    embedding. *)
+    original trace (typically the traces of [T]), shortest first, for
+    every belongs-to generalisation, for every embedding.
+
+    A candidate is tried only if [transformed] is a subsequence of it.
+    That is necessary for a witness: an embedding keeps only concrete
+    positions equal to the transformed actions, and a generalisation
+    only turns concrete positions into wildcards.  Skipping the other
+    candidates (and all their generalisations) leaves the first witness
+    found unchanged. *)
 
 val is_elimination :
   ?proper:bool ->

@@ -56,7 +56,10 @@ let identity n = Array.init n Fun.id
    Processing index [k], we may insert it at any position whose suffix
    contains only indices [i < k] with [t'_k] reorderable with [t'_i];
    the resulting sequence (as actions) must be in the original
-   traceset.  On success the final arrangement determines [f]. *)
+   traceset.  Positions are tried from the end (the identity position)
+   towards the front, and the walk stops at the first index [k] may not
+   be reordered past: every position further forward has that index in
+   its suffix.  On success the final arrangement determines [f]. *)
 let find vol t ~mem =
   let arr = Array.of_list t in
   let n = Array.length arr in
@@ -64,19 +67,17 @@ let find vol t ~mem =
   let rec go k arrangement =
     if k = n then raise (Found arrangement)
     else begin
-      let rec insertions prefix suffix =
-        (* Try inserting k between prefix and suffix. *)
-        (if
-           List.for_all (fun i -> Action.reorderable vol arr.(k) arr.(i)) suffix
-         then
-           let candidate = prefix @ [ k ] @ suffix in
-           let as_trace = List.map (fun i -> arr.(i)) candidate in
-           if mem as_trace then go (k + 1) candidate);
-        match suffix with
-        | [] -> ()
-        | x :: rest -> insertions (prefix @ [ x ]) rest
+      (* Insert k between [rev_prefix] (reversed) and [suffix]. *)
+      let rec insertions rev_prefix suffix =
+        let candidate = List.rev_append rev_prefix (k :: suffix) in
+        if mem (List.map (fun i -> arr.(i)) candidate) then
+          go (k + 1) candidate;
+        match rev_prefix with
+        | x :: rest when Action.reorderable vol arr.(k) arr.(x) ->
+            insertions rest (x :: suffix)
+        | _ -> ()
       in
-      insertions [] arrangement
+      insertions (List.rev arrangement) []
     end
   in
   if not (mem (depermute_prefix (identity n) t 0)) then None

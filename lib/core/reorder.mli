@@ -45,7 +45,16 @@ val find :
   Location.Volatile.t -> Trace.t -> mem:(Trace.t -> bool) -> f option
 (** Search for a de-permuting function by inserting each successive
     transformed action into the reconstructed original trace, pruning
-    with the membership oracle and the reorderability condition. *)
+    with the membership oracle and the reorderability condition.
+
+    Each action is tried at the identity position (the end of the
+    reconstruction) first, then moved towards the front one position
+    at a time, stopping at the first action it may not be reordered
+    past.  So a trace whose identity de-permutation lies in the oracle
+    is found with positive queries only.  Whether a function exists
+    does not depend on the order of the search, but which one is
+    returned does: the result is {e a} de-permuting function, not a
+    canonical one. *)
 
 val identity : int -> f
 

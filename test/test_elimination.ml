@@ -220,6 +220,69 @@ let test_memoised_member () =
   check_b "some queries are members" true (!members > 0);
   check_b "some queries are not" true (!non_members > 0)
 
+(* --- pruned search = unpruned candidate scan ------------------------ *)
+
+(* The witness search without the subsequence pruning: every candidate
+   at least as long as the query, shortest first, the concrete trace
+   and then its proper generalisations.  The pruned search must return
+   the same first witness, and both membership oracles must agree with
+   it. *)
+let unpruned_find_witness ?proper vol ~belongs_to ~candidates ~transformed =
+  let tlen = Trace.length transformed in
+  List.filter (fun t -> Trace.length t >= tlen) candidates
+  |> List.sort (fun a b -> Int.compare (Trace.length a) (Trace.length b))
+  |> List.find_map (fun t ->
+         let try_wild wild =
+           Elimination.trace_elimination_of ?proper vol ~transformed ~wild
+           |> Option.map (fun kept -> { Elimination.wild; kept })
+         in
+         let concrete = Wildcard.of_trace t in
+         match if belongs_to concrete then try_wild concrete else None with
+         | Some w -> Some w
+         | None ->
+             Elimination.generalisations ~belongs_to t
+             |> List.find_map (fun wild ->
+                    if Wildcard.wildcard_count wild = 0 then None
+                    else try_wild wild))
+
+let test_pruned_search () =
+  let members = ref 0 and non_members = ref 0 in
+  let prop c =
+    let belongs_to w = Traceset.belongs_to c.original w ~universe:c.universe in
+    let candidates = Traceset.to_list c.original in
+    let memo =
+      Elimination.memoised_member ~proper:c.proper c.vol ~original:c.original
+        ~universe:c.universe
+    in
+    List.for_all
+      (fun t ->
+        let expected =
+          unpruned_find_witness ~proper:c.proper c.vol ~belongs_to ~candidates
+            ~transformed:t
+        in
+        let found =
+          Elimination.find_witness ~proper:c.proper c.vol ~belongs_to
+            ~candidates ~transformed:t
+        in
+        let member = Option.is_some expected in
+        incr (if member then members else non_members);
+        Option.equal
+          (fun (a : Elimination.witness) (b : Elimination.witness) ->
+            Wildcard.equal a.wild b.wild && a.kept = b.kept)
+          found expected
+        && Bool.equal member
+             (Elimination.is_member ~proper:c.proper c.vol
+                ~original:c.original ~universe:c.universe t)
+        && Bool.equal member (memo t))
+      c.queries
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"pruned search = unpruned candidate scan"
+       ~count:150 ~print:print_memo_case memo_case prop);
+  (* Queries outside the closure are where the pruning acts. *)
+  check_b "some queries are members" true (!members > 0);
+  check_b "some queries are not" true (!non_members > 0)
+
 let () =
   Alcotest.run "elimination"
     [
@@ -233,5 +296,7 @@ let () =
           Alcotest.test_case "negative cases" `Quick test_negative;
           Alcotest.test_case "memoised membership = unmemoised" `Quick
             test_memoised_member;
+          Alcotest.test_case "pruned search = unpruned scan" `Quick
+            test_pruned_search;
         ] );
     ]

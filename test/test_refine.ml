@@ -67,6 +67,27 @@ let test_untouched_thread_is_identical () =
     | Refine.Refines _ -> true
     | _ -> false)
 
+(* The witness-search counters on rr2 -> rr2_cse.  The value universe
+   is {0, 1, 2}, so each thread has eight transformed traces: [], S,
+   S R[x=v] and S R[x=v] X(v).  The five without a print are original
+   traces and skip the search; each of the three with one is found by
+   the identity-first search with one membership query per prefix
+   (4).  Two threads: 10 skips, 24 queries. *)
+let test_search_counters () =
+  let module Metrics = Safeopt_obs.Metrics in
+  Metrics.reset_global ();
+  Metrics.set_enabled true;
+  let r = Refine.check ~original:rr2 ~transformed:rr2_cse () in
+  Metrics.set_enabled false;
+  let counter n =
+    Option.value ~default:0 (Metrics.find_counter Metrics.global n)
+  in
+  check_b "safe" true (Refine.verdict r = Refine.Safe);
+  check_i "traces already in the original" 10
+    (counter "refine.traces_in_original");
+  check_i "membership queries" 24 (counter "refine.member_queries");
+  Metrics.reset_global ()
+
 let test_thread_count_blocked () =
   let one = parse "thread { x := r1; }" in
   let two = parse "thread { x := r1; }\nthread { y := r2; }" in
@@ -233,6 +254,8 @@ let () =
             test_rar_refines_per_thread;
           Alcotest.test_case "untouched thread stays identical" `Quick
             test_untouched_thread_is_identical;
+          Alcotest.test_case "witness-search counters" `Quick
+            test_search_counters;
           Alcotest.test_case "thread count change blocks" `Quick
             test_thread_count_blocked;
           Alcotest.test_case "volatile change blocks" `Quick

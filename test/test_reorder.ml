@@ -63,6 +63,36 @@ let test_find () =
     (Reorder.find none t' ~mem:(fun t -> Traceset.mem t fig2_original_traceset)
     = None)
 
+(* The search tries the identity position first, so a trace that is
+   already in the target set is found with one positive query per
+   prefix and no negative query at all. *)
+let test_find_identity_first () =
+  let thread_ts =
+    let p = parse "thread { r1 := x; y := 1; r2 := z; print r2; x := r1; }" in
+    fst
+      (Safeopt_lang.Denote.thread_traces ~universe:[ 0; 1 ] ~max_len:8 ~tid:0
+         (List.hd p.Safeopt_lang.Ast.threads))
+  in
+  List.iter
+    (fun target ->
+      List.iter
+        (fun t ->
+          let positive = ref 0 and negative = ref 0 in
+          let mem u =
+            let b = Traceset.mem u target in
+            incr (if b then positive else negative);
+            b
+          in
+          let name = Fmt.str "%a" Trace.pp t in
+          check_b (name ^ " found") true
+            (Option.is_some (Reorder.find none t ~mem));
+          Alcotest.(check int) (name ^ ": no negative query") 0 !negative;
+          Alcotest.(check int)
+            (name ^ ": one query per prefix")
+            (Trace.length t + 1) !positive)
+        (Traceset.to_list target))
+    [ fig2_original_traceset; t_bar; thread_ts ]
+
 let test_is_reordering () =
   (* The paper: T' is NOT a reordering of T directly... *)
   check_b "not a reordering of T" false
@@ -142,6 +172,8 @@ let () =
             test_depermute_fig4;
           Alcotest.test_case "de_permutes" `Quick test_de_permutes;
           Alcotest.test_case "search" `Quick test_find;
+          Alcotest.test_case "search tries the identity first" `Quick
+            test_find_identity_first;
           Alcotest.test_case "traceset reordering" `Quick test_is_reordering;
           Alcotest.test_case "volatility blocks" `Quick test_volatile_blocks;
           Alcotest.test_case "matrix" `Quick test_matrix;
