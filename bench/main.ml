@@ -33,6 +33,21 @@ let full_count_states ?pool p =
 let full_behaviours ?stats ?pool p =
   Explorer.behaviours ?stats ?pool (Thread_system.make p)
 
+(* The work-stealing engine, unconditionally: a pooled call on a
+   program below [Explorer.steal_after] states is decided by the
+   sequential engine, so the parity checks and the parallel walls of
+   [bench parallel] go through [Explorer.Parallel]. *)
+let par_full_count_states ~pool p =
+  Explorer.Parallel.count_states ~pool (Thread_system.make p)
+
+let par_full_behaviours ~pool p =
+  Explorer.Parallel.behaviours ~pool (Thread_system.make p)
+
+let par_count_states ?stats ~pool p =
+  Explorer.Parallel.count_states ?stats
+    ~local:(Thread_system.local_actions p)
+    ~pool (Thread_system.make p)
+
 (* ------------------------------------------------------------------ *)
 (* E1: the section-1 motivating example                                *)
 (* ------------------------------------------------------------------ *)
@@ -447,6 +462,26 @@ let e14 () =
 (* P1: scaling data                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* n threads, each reading the shared location x twice and printing
+   both reads — E-RAR's redundant read, once per thread.  The per-thread
+   tracesets stay constant as n grows while the interleaving count (the
+   exhaustive validator's cost) explodes: the separation the refinement
+   validator exploits.  The location is shared so that the explorer's
+   thread-local reduction cannot collapse the reads, as it would for
+   thread-private locations. *)
+let redundant_read_program n =
+  {
+    Ast.threads =
+      List.init n (fun _ ->
+          [
+            Ast.Load ("r1", "x");
+            Ast.Load ("r2", "x");
+            Ast.Print "r2";
+            Ast.Print "r1";
+          ]);
+    volatile = Location.Volatile.none;
+  }
+
 let writer_reader_program n_threads =
   (* n threads, each writes its own location then reads its neighbour's *)
   {
@@ -775,7 +810,115 @@ let pipeline_bench ?(quick = false) () =
    speedup figures of such a run measure scheduling overhead, not
    scaling, and trajectory tooling must not read them as regressions.
    The headline ">1x" claim is only made when the host can express
-   it. *)
+   it.
+
+   Every figure and parity check above that explores one program on
+   the pool runs the work-stealing engine unconditionally
+   ([Explorer.Parallel]); [litmus_corpus] shards whole tests.  The crossover sweep
+   then times the engine choice itself: reduced [count_states] on
+   generated programs from about 10^2 to 6x10^4 states, and outside
+   [quick] two larger ones up to the 8-thread refine-scaling program,
+   sequentially, on the stealing engine, and through the pooled entry
+   point, which runs the sequential engine first and escalates past
+   [Explorer.steal_after] states.  Gated: the pooled call must use the
+   sequential engine below [steal_after] and the stealing engine above
+   it, with the jobs-1 count either way. *)
+
+(* n threads, each taking a lock around a read and a write of one
+   shared counter and printing what it read. *)
+let locked_counter_program n =
+  {
+    Ast.threads =
+      List.init n (fun i ->
+          [
+            Ast.Lock "m";
+            Ast.Load ("r1", "c");
+            Ast.Move ("r2", Ast.Nat (i + 1));
+            Ast.Store ("c", "r2");
+            Ast.Unlock "m";
+            Ast.Print "r1";
+          ]);
+    volatile = Location.Volatile.none;
+  }
+
+(* [redundant_read_program n] plus [k] threads that only print. *)
+let readers_printers_program n k =
+  let p = redundant_read_program n in
+  {
+    p with
+    Ast.threads =
+      p.Ast.threads
+      @ List.init k (fun i ->
+            [ Ast.Move ("r1", Ast.Nat (i + 1)); Ast.Print "r1" ]);
+  }
+
+type crossover_point = {
+  cx_name : string;
+  cx_states : int;
+  cx_seq_wall : float;
+  cx_steal_wall : float;
+  cx_pooled_wall : float;
+  cx_escalated : bool;  (** the pooled call ran the stealing engine *)
+  cx_count_equal : bool;  (** pooled and stealing counts = jobs 1 *)
+}
+
+let crossover_sweep ~quick ~pool =
+  let points =
+    [
+      ("writer-reader-3", writer_reader_program 3);
+      ("redundant-read-3", redundant_read_program 3);
+      ("locked-counter-4", locked_counter_program 4);
+      ("redundant-read-4", redundant_read_program 4);
+      ("redundant-read-5", redundant_read_program 5);
+      ("readers-printers-5-2", readers_printers_program 5 2);
+      ("locked-counter-5", locked_counter_program 5);
+      ("redundant-read-6", redundant_read_program 6);
+      ("readers-printers-6-1", readers_printers_program 6 1);
+      ("readers-printers-6-2", readers_printers_program 6 2);
+    ]
+    @
+    if quick then []
+    else
+      [
+        ("locked-counter-6", locked_counter_program 6);
+        ("redundant-read-8", redundant_read_program 8);
+      ]
+  in
+  let reps = 3 in
+  let best f =
+    let rec go k acc =
+      if k = 0 then acc
+      else
+        let _, w = time f in
+        go (k - 1) (Float.min acc w)
+    in
+    go reps infinity
+  in
+  List.map
+    (fun (name, p) ->
+      let states = Interp.count_states p in
+      let ps = Explorer.create_stats () in
+      let pooled = Interp.count_states ~stats:ps ~pool p in
+      let stolen = par_count_states ~pool p in
+      let pt =
+        {
+          cx_name = name;
+          cx_states = states;
+          cx_seq_wall = best (fun () -> Interp.count_states p);
+          cx_steal_wall = best (fun () -> par_count_states ~pool p);
+          cx_pooled_wall = best (fun () -> Interp.count_states ~pool p);
+          cx_escalated = ps.Explorer.domains >= 2;
+          cx_count_equal = pooled = states && stolen = states;
+        }
+      in
+      Fmt.pr "  %-22s %8d %10.2f %10.2f %10.2f %6.2fx  %s@." name states
+        (pt.cx_seq_wall *. 1e3) (pt.cx_steal_wall *. 1e3)
+        (pt.cx_pooled_wall *. 1e3)
+        (pt.cx_seq_wall /. pt.cx_steal_wall)
+        (if pt.cx_escalated then "seq→par" else "seq");
+      pt)
+    points
+
 let parallel_bench ?(quick = false) ~jobs () =
   let jobs_requested = Par.resolve_jobs jobs in
   hr "P5: work-stealing parallel exploration -> BENCH_parallel.json";
@@ -796,7 +939,12 @@ let parallel_bench ?(quick = false) ~jobs () =
         for _ = 1 to reps do
           List.iter
             (fun p ->
-              acc := !acc + Behaviour.Set.cardinal (full_behaviours ?pool p))
+              let b =
+                match pool with
+                | None -> full_behaviours p
+                | Some pool -> par_full_behaviours ~pool p
+              in
+              acc := !acc + Behaviour.Set.cardinal b)
             all
         done;
         !acc
@@ -804,7 +952,15 @@ let parallel_bench ?(quick = false) ~jobs () =
       let count ?pool () =
         let acc = ref 0 in
         for _ = 1 to reps do
-          List.iter (fun p -> acc := !acc + full_count_states ?pool p) all
+          List.iter
+            (fun p ->
+              let c =
+                match pool with
+                | None -> full_count_states p
+                | Some pool -> par_full_count_states ~pool p
+              in
+              acc := !acc + c)
+            all
         done;
         !acc
       in
@@ -853,7 +1009,8 @@ let parallel_bench ?(quick = false) ~jobs () =
       let identical =
         List.for_all
           (fun p ->
-            Behaviour.Set.equal (full_behaviours p) (full_behaviours ~pool p))
+            Behaviour.Set.equal (full_behaviours p)
+              (par_full_behaviours ~pool p))
           all
       in
       (* Exact reduced-count parity per program — the property the
@@ -863,9 +1020,10 @@ let parallel_bench ?(quick = false) ~jobs () =
       let states_parity =
         List.for_all
           (fun p ->
-            Interp.count_states p = Interp.count_states ~stats:pstats ~pool p)
+            Interp.count_states p = par_count_states ~stats:pstats ~pool p)
           all
       in
+      let stole = pstats.Explorer.domains >= 2 in
       Fmt.pr "  steals: %d, starvation waits: %d (reduced corpus pass)@."
         pstats.Explorer.steals pstats.Explorer.lock_waits;
       (* Per-jobs scaling curve on the count_states workload: one rep
@@ -885,7 +1043,7 @@ let parallel_bench ?(quick = false) ~jobs () =
                 let _, wj =
                   time (fun () ->
                       List.iter
-                        (fun p -> ignore (full_count_states ~pool:pl p))
+                        (fun p -> ignore (par_full_count_states ~pool:pl p))
                         all)
                 in
                 let sp =
@@ -903,6 +1061,45 @@ let parallel_bench ?(quick = false) ~jobs () =
       claim "parallel totals equal sequential totals" true totals_equal;
       claim "parallel and sequential behaviour sets identical" true identical;
       claim "reduced state counts identical across jobs" true states_parity;
+      claim "parity checks ran the work-stealing engine" true stole;
+      Fmt.pr
+        "  crossover (reduced count_states, best of 3; steal_after = %d):@."
+        Explorer.steal_after;
+      Fmt.pr "  %-22s %8s %10s %10s %10s %7s  %s@." "program" "states"
+        "seq (ms)" "steal (ms)" "pooled(ms)" "seq/st" "pooled engine";
+      let sweep = crossover_sweep ~quick ~pool in
+      let small, large =
+        List.partition (fun pt -> pt.cx_states <= Explorer.steal_after) sweep
+      in
+      let sweep_counts_equal =
+        List.for_all (fun pt -> pt.cx_count_equal) sweep
+      in
+      let seq_below = List.for_all (fun pt -> not pt.cx_escalated) small in
+      let steal_above =
+        jobs_requested < 2 || List.for_all (fun pt -> pt.cx_escalated) large
+      in
+      claim "pooled counts equal jobs 1 across the sweep" true
+        sweep_counts_equal;
+      claim "pooled calls below steal_after ran the sequential engine" true
+        seq_below;
+      claim "pooled calls above steal_after ran the stealing engine" true
+        steal_above;
+      let engine_choice_ok =
+        sweep_counts_equal && seq_below && steal_above
+      in
+      let crossover_rows =
+        List.map
+          (fun pt ->
+            Printf.sprintf
+              "    {\"name\": %S, \"states\": %d, \"seq_wall_s\": %.6f, \
+               \"steal_wall_s\": %.6f, \"pooled_wall_s\": %.6f, \
+               \"seq_over_steal\": %.2f, \"pooled_engine\": \"%s\"}"
+              pt.cx_name pt.cx_states pt.cx_seq_wall pt.cx_steal_wall
+              pt.cx_pooled_wall
+              (pt.cx_seq_wall /. pt.cx_steal_wall)
+              (if pt.cx_escalated then "seq→par" else "seq"))
+          sweep
+      in
       if not degraded then begin
         let above =
           List.length (List.filter (fun (sp, _) -> sp > 1.0) rows)
@@ -919,7 +1116,7 @@ let parallel_bench ?(quick = false) ~jobs () =
         String.concat "\n"
           ([
              "{";
-             "  \"schema\": \"bench_parallel/v2\",";
+             "  \"schema\": \"bench_parallel/v3\",";
              Printf.sprintf "  \"quick\": %b," quick;
              Printf.sprintf "  \"jobs_requested\": %d," jobs_requested;
              Printf.sprintf "  \"jobs_effective\": %d," jobs_effective;
@@ -936,6 +1133,14 @@ let parallel_bench ?(quick = false) ~jobs () =
           @ [ String.concat ",\n" curve ]
           @ [
               "  ],";
+              Printf.sprintf "  \"steal_after\": %d," Explorer.steal_after;
+              "  \"crossover\": [";
+            ]
+          @ [ String.concat ",\n" crossover_rows ]
+          @ [
+              "  ],";
+              Printf.sprintf "  \"engine_choice_ok\": %b," engine_choice_ok;
+              Printf.sprintf "  \"parity_stole\": %b," stole;
               Printf.sprintf "  \"parallel_totals_equal\": %b," totals_equal;
               Printf.sprintf "  \"parallel_states_identical\": %b,"
                 states_parity;
@@ -949,37 +1154,24 @@ let parallel_bench ?(quick = false) ~jobs () =
       output_char oc '\n';
       close_out oc;
       Fmt.pr "  wrote BENCH_parallel.json@.";
-      if not (totals_equal && identical && states_parity) then begin
+      if not (totals_equal && identical && states_parity && stole) then begin
         Fmt.epr
           "bench: parallel parity broken (totals_equal=%b identical=%b \
-           states_parity=%b)@."
-          totals_equal identical states_parity;
+           states_parity=%b stole=%b)@."
+          totals_equal identical states_parity stole;
+        exit 1
+      end;
+      if not engine_choice_ok then begin
+        Fmt.epr
+          "bench: engine choice broken (counts_equal=%b seq_below=%b \
+           steal_above=%b)@."
+          sweep_counts_equal seq_below steal_above;
         exit 1
       end)
 
 (* ------------------------------------------------------------------ *)
 (* P6: thread-local refinement validator -> BENCH_refine.json          *)
 (* ------------------------------------------------------------------ *)
-
-(* n threads, each reading the shared location x twice and printing
-   both reads — E-RAR's redundant read, once per thread.  The per-thread
-   tracesets stay constant as n grows while the interleaving count (the
-   exhaustive validator's cost) explodes: the separation the refinement
-   validator exploits.  The location is shared so that the explorer's
-   thread-local reduction cannot collapse the reads, as it would for
-   thread-private locations. *)
-let redundant_read_program n =
-  {
-    Ast.threads =
-      List.init n (fun _ ->
-          [
-            Ast.Load ("r1", "x");
-            Ast.Load ("r2", "x");
-            Ast.Print "r2";
-            Ast.Print "r1";
-          ]);
-    volatile = Location.Volatile.none;
-  }
 
 (* Two halves, both feeding BENCH_refine.json:
 

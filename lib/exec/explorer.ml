@@ -193,16 +193,27 @@ let live_progress () =
   Mutex.unlock Live.mu;
   s
 
+(* The engine that decided an entry-point call: the sequential DFS, the
+   work-stealing engine, or the sequential DFS that ran out of its
+   [steal_after] budget and handed the call to the work-stealing engine
+   (see [granular] below). *)
+type engine = Seq | Par | Seq_par
+
+let engine_name = function Seq -> "seq" | Par -> "par" | Seq_par -> "seq→par"
+
 (* Entry-point wrapper replacing the old [timed]: accumulates wall time
    into the caller's record exactly as before and, when telemetry is
    live, materialises a record even for callers that passed none, then
    publishes this call's deltas into the global registry and closes one
-   span per entry point with the result counters as attributes.  With
+   span per entry point with the result counters and the deciding
+   engine as attributes.  [f] receives the engine cell (it starts at
+   [Seq]; an engine choice overwrites it) and the record.  With
    telemetry off and no [?stats], the cost is the [live] test. *)
 let observed name stats f =
+  let engine = ref Seq in
   let live = Metrics.enabled () || Tracer.enabled () in
   match (stats, live) with
-  | None, false -> f None
+  | None, false -> f engine None
   | _ ->
       let s = match stats with Some s -> s | None -> create_stats () in
       let before = copy_stats s in
@@ -234,10 +245,11 @@ let observed name stats f =
                     ( "intern_hit_rate",
                       Ev.Float
                         ((attempts -. float_of_int d.states) /. attempts) );
+                    ("engine", Ev.Str (engine_name !engine));
                   ]
                 sp
           end)
-        (fun () -> f (Some s))
+        (fun () -> f engine (Some s))
 
 (* ------------------------------------------------------------------ *)
 (* Interning                                                           *)
@@ -378,20 +390,38 @@ let state_id ctx st = ctx.ids (state_digest st)
 let read_value st l =
   Option.value ~default:Value.default (Location.Map.find_opt l st.mem)
 
+(* [st] with thread [tid] moved to [ts']: the one place a thread key is
+   built. *)
 let set_thread ctx st tid ts' =
   let threads = Array.copy st.threads in
   threads.(tid) <- ts';
   let tkeys = Array.copy st.tkeys in
   tkeys.(tid) <- ctx.tkey (ctx.sys.System.key ts');
-  (threads, tkeys)
+  { st with threads; tkeys }
 
-(* All enabled transitions from a scheduler state:
-   (thread id, action, successor state), in thread-index then step
-   order — witness searches depend on this order being stable. *)
-let enabled ctx st =
+let with_mem ctx st mem = { st with mem; mem_id = intern_mem ctx mem }
+let with_locks ctx st locks =
+  { st with locks; locks_id = intern_locks ctx locks }
+
+(* An enabled transition: its thread, its action, and the successor
+   state, built only when a search follows the edge. *)
+type 'ts succ = Thread_id.t * Action.t * (unit -> 'ts state)
+
+(* All enabled transitions from a scheduler state, in thread-index then
+   step order — witness searches depend on this order being stable.
+
+   Whether a transition is enabled and its label are decided here,
+   eagerly: a read's value, the thread's answer to it, the monitor
+   table's owner check.  The successor — a copied thread array, the
+   stepping thread's key, an interned memory or monitor table — is a
+   closure: reductions cut many transitions by label alone (persistent
+   sets, sleep sets, the race check against a state's enabled set), and
+   those are never built. *)
+let enabled ctx st : _ succ list =
   let out = ref [] in
   Array.iteri
     (fun tid ts ->
+      let add a build = out := (tid, a, build) :: !out in
       List.iter
         (fun step ->
           match step with
@@ -399,57 +429,46 @@ let enabled ctx st =
               let v = read_value st l in
               match k v with
               | Some ts' ->
-                  let threads, tkeys = set_thread ctx st tid ts' in
-                  out :=
-                    (tid, Action.Read (l, v), { st with threads; tkeys })
-                    :: !out
+                  add (Action.Read (l, v)) (fun () -> set_thread ctx st tid ts')
               | None -> ())
           | System.Rmw (l, k) ->
               let v = read_value st l in
               List.iter
                 (fun (w, ts') ->
-                  let mem = Location.Map.add l w st.mem in
-                  let st' = { st with mem; mem_id = intern_mem ctx mem } in
-                  let threads, tkeys = set_thread ctx st' tid ts' in
-                  out :=
-                    (tid, Action.Rmw (l, v, w), { st' with threads; tkeys })
-                    :: !out)
+                  add
+                    (Action.Rmw (l, v, w))
+                    (fun () ->
+                      set_thread ctx
+                        (with_mem ctx st (Location.Map.add l w st.mem))
+                        tid ts'))
                 (k v)
           | System.Emit (a, ts') -> (
-              let commit st' =
-                let threads, tkeys = set_thread ctx st' tid ts' in
-                out := (tid, a, { st' with threads; tkeys }) :: !out
-              in
+              let commit f = add a (fun () -> set_thread ctx (f ()) tid ts') in
+              let relock locks () = with_locks ctx st locks in
               match a with
               | Action.Read _ ->
                   invalid_arg "Explorer: reads must use System.Read steps"
               | Action.Rmw _ ->
                   invalid_arg "Explorer: RMWs must use System.Rmw steps"
               | Action.Write (l, v) ->
-                  let mem = Location.Map.add l v st.mem in
-                  commit { st with mem; mem_id = intern_mem ctx mem }
+                  commit (fun () ->
+                      with_mem ctx st (Location.Map.add l v st.mem))
               | Action.Lock m -> (
                   match Monitor.Map.find_opt m st.locks with
                   | None ->
-                      let locks = Monitor.Map.add m (tid, 1) st.locks in
-                      commit
-                        { st with locks; locks_id = intern_locks ctx locks }
+                      commit (relock (Monitor.Map.add m (tid, 1) st.locks))
                   | Some (owner, d) when Thread_id.equal owner tid ->
-                      let locks = Monitor.Map.add m (tid, d + 1) st.locks in
-                      commit
-                        { st with locks; locks_id = intern_locks ctx locks }
+                      commit (relock (Monitor.Map.add m (tid, d + 1) st.locks))
                   | Some _ -> ())
               | Action.Unlock m -> (
                   match Monitor.Map.find_opt m st.locks with
                   | Some (owner, d) when Thread_id.equal owner tid ->
-                      let locks =
-                        if d = 1 then Monitor.Map.remove m st.locks
-                        else Monitor.Map.add m (tid, d - 1) st.locks
-                      in
                       commit
-                        { st with locks; locks_id = intern_locks ctx locks }
+                        (relock
+                           (if d = 1 then Monitor.Map.remove m st.locks
+                            else Monitor.Map.add m (tid, d - 1) st.locks))
                   | _ -> ())
-              | Action.External _ | Action.Start _ -> commit st))
+              | Action.External _ | Action.Start _ -> commit (fun () -> st)))
         (ctx.sys.System.steps ts))
     st.threads;
   List.rev !out
@@ -582,7 +601,7 @@ let explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
         let result = ref empty in
         let explored = ref [] in
         List.iter
-          (fun (tid, a, st') ->
+          (fun (tid, a, succ) ->
             if reduce && in_sleep sleep tid a then
               s.por_cuts <- s.por_cuts + 1
             else begin
@@ -594,7 +613,7 @@ let explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
                     (List.rev_append !explored sleep)
                 else []
               in
-              let sub = go st' child_sleep (depth + 1) in
+              let sub = go (succ ()) child_sleep (depth + 1) in
               result := union !result (label a sub);
               if reduce then explored := (tid, a) :: !explored
             end)
@@ -862,7 +881,7 @@ let par_explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
               let explored = ref [] in
               let es = ref [] in
               List.iter
-                (fun (tid, a, st') ->
+                (fun (tid, a, succ) ->
                   if reduce && in_sleep sleep tid a then
                     s.por_cuts <- s.por_cuts + 1
                   else begin
@@ -874,6 +893,7 @@ let par_explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
                           (List.rev_append !explored sleep)
                       else []
                     in
+                    let st' = succ () in
                     let id', decision = arrive st' child_sleep in
                     es := (a, id') :: !es;
                     (match decision with
@@ -900,45 +920,103 @@ let par_explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
   s.domains <- max s.domains nw;
   (r, n)
 
-let run_par = Par.dispatch
+(* ------------------------------------------------------------------ *)
+(* Engine choice                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Below this many states the sequential DFS beats the work-stealing
+   engine even on real cores, or ties with it: the stealing engine
+   pays for striped tables, deque traffic, a second pass over the
+   discovered graph and, for the race search, the whole graph where
+   the DFS stops at the first race.  The crossover sweep in
+   [bench parallel] puts the break-even between 3x10^3 and 1.6x10^4
+   states on 2 cores, with a thin, shape-dependent margin in between;
+   see explorer.mli and BENCH_parallel.json. *)
+let steal_after = 16_384
+
+let pool_size ?jobs ?pool () =
+  match pool with
+  | Some p -> Par.Pool.size p
+  | None -> ( match jobs with None -> 1 | Some j -> Par.resolve_jobs j)
+
+(* The one engine choice behind every [?jobs ?pool] exploration entry
+   point.  Without parallelism, or under a budget of at most
+   [steal_after], [seq] runs alone with the caller's budget.  Otherwise
+   [seq] runs first under a [steal_after] budget, and only its running
+   out of that budget hands the call to [par], which starts over with
+   the caller's budget (a one-shot [?jobs] pool is only created then).
+
+   The first attempt counts into a private record, merged into the
+   caller's only when that attempt decides the call (a result, [Cyclic],
+   or the caller's own budget): an escalated call's counters are the
+   stealing engine's alone, so jobs N and jobs 1 report the same
+   [states].  The heartbeat does not see the private record; it covers
+   at most [steal_after] states. *)
+let granular ?jobs ?pool ~max_states ~engine ~stats ~seq ~par () =
+  let n = pool_size ?jobs ?pool () in
+  if n <= 1 || max_states <= steal_after then seq max_states stats
+  else
+    let first = Option.map (fun _ -> create_stats ()) stats in
+    let decided () =
+      match (stats, first) with
+      | Some s, Some f -> merge_stats ~into:s f
+      | _ -> ()
+    in
+    match seq steal_after first with
+    | r ->
+        decided ();
+        r
+    | exception Too_many_states _ -> (
+        engine := Seq_par;
+        match pool with Some p -> par p | None -> Par.Pool.with_pool n par)
+    | exception e ->
+        decided ();
+        raise e
 
 let beh_label a sub =
   match a with
   | Action.External v -> Behaviour.Set.map (fun b -> v :: b) sub
   | _ -> sub
 
+let seq_behaviours ~local sys max_states stats =
+  fst
+    (explore_core
+       ~empty:(Behaviour.Set.singleton [])
+       ~union:Behaviour.Set.union ~label:beh_label ~max_states ~local ~stats
+       sys)
+
+let par_behaviours ~max_states ~local ~stats sys pool =
+  fst
+    (par_explore_core
+       ~empty:(Behaviour.Set.singleton [])
+       ~union:Behaviour.Set.union ~label:beh_label ~pool ~max_states ~local
+       ~stats sys)
+
 let behaviours ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
     sys =
-  observed "explorer.behaviours" stats (fun stats ->
-      run_par ?jobs ?pool
-        ~seq:(fun () ->
-          fst
-            (explore_core
-               ~empty:(Behaviour.Set.singleton [])
-               ~union:Behaviour.Set.union ~label:beh_label ~max_states ~local
-               ~stats sys))
-        ~par:(fun p ->
-          fst
-            (par_explore_core
-               ~empty:(Behaviour.Set.singleton [])
-               ~union:Behaviour.Set.union ~label:beh_label ~pool:p ~max_states
-               ~local ~stats sys))
+  observed "explorer.behaviours" stats (fun engine stats ->
+      granular ?jobs ?pool ~max_states ~engine ~stats
+        ~seq:(seq_behaviours ~local sys)
+        ~par:(par_behaviours ~max_states ~local ~stats sys)
         ())
+
+let seq_count_states ~local sys max_states stats =
+  snd
+    (explore_core ~empty:() ~union:(fun () () -> ()) ~label:(fun _ () -> ())
+       ~max_states ~local ~stats sys)
+
+let par_count_states ~max_states ~local ~stats sys pool =
+  snd
+    (par_explore_core ~empty:() ~union:(fun () () -> ())
+       ~label:(fun _ () -> ())
+       ~pool ~max_states ~local ~stats sys)
 
 let count_states ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
     sys =
-  observed "explorer.count_states" stats (fun stats ->
-      run_par ?jobs ?pool
-        ~seq:(fun () ->
-          snd
-            (explore_core ~empty:() ~union:(fun () () -> ())
-               ~label:(fun _ () -> ())
-               ~max_states ~local ~stats sys))
-        ~par:(fun p ->
-          snd
-            (par_explore_core ~empty:() ~union:(fun () () -> ())
-               ~label:(fun _ () -> ())
-               ~pool:p ~max_states ~local ~stats sys))
+  observed "explorer.count_states" stats (fun engine stats ->
+      granular ?jobs ?pool ~max_states ~engine ~stats
+        ~seq:(seq_count_states ~local sys)
+        ~par:(par_count_states ~max_states ~local ~stats sys)
         ())
 
 (* ------------------------------------------------------------------ *)
@@ -955,21 +1033,21 @@ let maximal_executions_seq ?(max_steps = 1_000_000) ?stats sys =
     | [] -> Seq.Cons (List.rev rev_path, Seq.empty)
     | succs ->
         Seq.flat_map
-          (fun (tid, a, st') () ->
+          (fun (tid, a, succ) () ->
             incr steps;
             s.edges <- s.edges + 1;
             if !steps > max_steps then raise (Too_many_states !steps);
-            go st' (Interleaving.pair tid a :: rev_path) ())
+            go (succ ()) (Interleaving.pair tid a :: rev_path) ())
           (List.to_seq succs) ()
   in
   go (initial ctx) []
 
 let maximal_executions ?max_steps ?stats sys =
-  observed "explorer.executions" stats (fun _ ->
+  observed "explorer.executions" stats (fun _ _ ->
       List.of_seq (maximal_executions_seq ?max_steps ?stats:None sys))
 
 let count_executions ?max_steps ?stats sys =
-  observed "explorer.executions" stats (fun _ ->
+  observed "explorer.executions" stats (fun _ _ ->
       Seq.fold_left
         (fun n _ -> n + 1)
         0
@@ -983,34 +1061,39 @@ let count_executions ?max_steps ?stats sys =
 let seq_find_adjacent_race ~max_states ~local ?stats vol sys =
   let s = sink stats in
   let ctx = make_ctx sys in
-  let visited : (int, unit) Hashtbl.t = Hashtbl.create 997 in
-  (* Each state's enabled set is needed both when the state is
-     visited and for the adjacent-race check on every incoming edge:
-     compute it once and cache it by state id. *)
-  let succ_tbl = Hashtbl.create 997 in
-  let succs_of id st =
-    match Hashtbl.find_opt succ_tbl id with
-    | Some l -> l
-    | None ->
-        let l = enabled ctx st in
-        Hashtbl.add succ_tbl id l;
-        l
+  (* A state's enabled labels are needed both when it is visited and
+     for the adjacent-race check on every incoming edge: keep them by
+     state id.  Only labels are kept, never the successor closures, so
+     the table holds no state alive.  A state is visited on the edge
+     that interns it, so a fresh id is exactly an unvisited state. *)
+  let labels_tbl : (int, (Thread_id.t * Action.t) list) Hashtbl.t =
+    Hashtbl.create 997
+  in
+  let labels_of id succs =
+    let l = List.map (fun (tid, a, _) -> (tid, a)) succs in
+    Hashtbl.add labels_tbl id l;
+    l
   in
   let count = ref 0 in
   let exception Found of Interleaving.t in
-  let rec go id succs rev_path depth =
-    Hashtbl.add visited id ();
+  let rec go succs rev_path depth =
     incr count;
     s.states <- s.states + 1;
     if !count > max_states then raise (Too_many_states !count);
     if depth > s.peak_frontier then s.peak_frontier <- depth;
     List.iter
-      (fun (tid, a, st') ->
+      (fun (tid, a, succ) ->
         s.edges <- s.edges + 1;
-        let id', _ = state_id ctx st' in
-        let succs' = succs_of id' st' in
+        let st' = succ () in
+        let id', fresh = state_id ctx st' in
+        let succs', labels' =
+          if fresh then
+            let l = enabled ctx st' in
+            (l, labels_of id' l)
+          else ([], Hashtbl.find labels_tbl id')
+        in
         List.iter
-          (fun (tid', b, _) ->
+          (fun (tid', b) ->
             if
               (not (Thread_id.equal tid tid'))
               && Action.conflicting vol a b
@@ -1021,17 +1104,17 @@ let seq_find_adjacent_race ~max_states ~local ?stats vol sys =
                       (Interleaving.pair tid' b
                       :: Interleaving.pair tid a
                       :: rev_path))))
-          succs';
-        if not (Hashtbl.mem visited id') then
-          go id' succs'
-            (Interleaving.pair tid a :: rev_path)
-            (depth + 1))
+          labels';
+        if fresh then
+          go succs' (Interleaving.pair tid a :: rev_path) (depth + 1))
       (select ~local s succs)
   in
   let st0 = initial ctx in
   let id0, _ = state_id ctx st0 in
+  let succs0 = enabled ctx st0 in
+  ignore (labels_of id0 succs0);
   try
-    go id0 (succs_of id0 st0) [] 1;
+    go succs0 [] 1;
     None
   with Found i -> Some i
 
@@ -1064,7 +1147,7 @@ let par_find_adjacent_race ~pool ~max_states ~local ?stats vol sys =
       enabled_lbls.(w) <-
         (id, List.map (fun (tid, a, _) -> (tid, a)) succs) :: enabled_lbls.(w);
     List.map
-      (fun (tid, a, st') -> ((tid, a), st'))
+      (fun (tid, a, succ) -> ((tid, a), succ ()))
       (select ~local wstats.(w) succs)
   in
   let n, succ, parent, id0 =
@@ -1121,19 +1204,19 @@ let par_find_adjacent_race ~pool ~max_states ~local ?stats vol sys =
 
 let find_adjacent_race ?(max_states = default_max_states) ?local ?stats ?jobs
     ?pool vol sys =
-  observed "explorer.race_search" stats (fun stats ->
-      run_par ?jobs ?pool
-        ~seq:(fun () ->
+  observed "explorer.race_search" stats (fun engine stats ->
+      granular ?jobs ?pool ~max_states ~engine ~stats
+        ~seq:(fun max_states stats ->
           seq_find_adjacent_race ~max_states ~local ?stats vol sys)
-        ~par:(fun p ->
-          par_find_adjacent_race ~pool:p ~max_states ~local ?stats vol sys)
+        ~par:(fun pool ->
+          par_find_adjacent_race ~pool ~max_states ~local ?stats vol sys)
         ())
 
 let is_drf ?max_states ?stats ?jobs ?pool vol sys =
   Option.is_none (find_adjacent_race ?max_states ?stats ?jobs ?pool vol sys)
 
 let find_deadlock ?(max_states = default_max_states) ?stats sys =
-  observed "explorer.deadlock" stats (fun stats ->
+  observed "explorer.deadlock" stats (fun _ stats ->
       let s = sink stats in
       let ctx = make_ctx sys in
       let visited : (int, unit) Hashtbl.t = Hashtbl.create 997 in
@@ -1157,9 +1240,11 @@ let find_deadlock ?(max_states = default_max_states) ?stats sys =
               if blocked then raise (Found (List.rev rev_path))
           | succs ->
               List.iter
-                (fun (tid, a, st') ->
+                (fun (tid, a, succ) ->
                   s.edges <- s.edges + 1;
-                  go st' (Interleaving.pair tid a :: rev_path) (depth + 1))
+                  go (succ ())
+                    (Interleaving.pair tid a :: rev_path)
+                    (depth + 1))
                 succs
         end
       in
@@ -1184,7 +1269,7 @@ let sample_runs ?(max_actions = 10_000) ~seed ~runs sys =
           match enabled ctx st with
           | [] -> List.rev rev_beh
           | succs ->
-              let _, a, st' =
+              let _, a, succ =
                 List.nth succs (Random.State.int rng (List.length succs))
               in
               let rev_beh =
@@ -1192,12 +1277,12 @@ let sample_runs ?(max_actions = 10_000) ~seed ~runs sys =
                 | Action.External v -> v :: rev_beh
                 | _ -> rev_beh
               in
-              go st' rev_beh (n + 1)
+              go (succ ()) rev_beh (n + 1)
       in
       go (initial ctx) [] 0)
 
 let sample_behaviours ?max_actions ~seed ~runs ?stats sys =
-  observed "explorer.sample" stats (fun _ ->
+  observed "explorer.sample" stats (fun _ _ ->
       Seq.fold_left
         (fun acc b ->
           Behaviour.Set.union acc
@@ -1220,67 +1305,95 @@ let graph_label a sub =
   | Some (Action.External v) -> Behaviour.Set.map (fun b -> v :: b) sub
   | _ -> sub
 
-let seq_graph_behaviours ~max_states ?stats g =
-  observed "explorer.graph" stats (fun stats ->
-      let s = sink stats in
-      let ids = Par.Ptbl.create_local ~dummy:() () in
-      let memo : (int, Behaviour.Set.t) Hashtbl.t = Hashtbl.create 997 in
-      let on_stack : (int, unit) Hashtbl.t = Hashtbl.create 97 in
-      let count = ref 0 in
-      let rec go st depth =
-        let id = Par.Ptbl.intern ids (Array.of_list (g.graph_digest st)) in
-        match Hashtbl.find_opt memo id with
-        | Some set ->
-            s.memo_hits <- s.memo_hits + 1;
-            set
-        | None ->
-            if Hashtbl.mem on_stack id then raise Cyclic;
-            Hashtbl.add on_stack id ();
-            incr count;
-            s.states <- s.states + 1;
-            if !count > max_states then raise (Too_many_states !count);
-            if depth > s.peak_frontier then s.peak_frontier <- depth;
-            let set =
-              List.fold_left
-                (fun acc (a, st') ->
-                  s.edges <- s.edges + 1;
-                  let sub = go st' (depth + 1) in
-                  Behaviour.Set.union acc (graph_label a sub))
-                (Behaviour.Set.singleton [])
-                (g.graph_transitions st)
-            in
-            Hashtbl.remove on_stack id;
-            Hashtbl.replace memo id set;
-            set
-      in
-      go g.graph_initial 1)
+let seq_graph_behaviours g max_states stats =
+  let s = sink stats in
+  let ids = Par.Ptbl.create_local ~dummy:() () in
+  let memo : (int, Behaviour.Set.t) Hashtbl.t = Hashtbl.create 997 in
+  let on_stack : (int, unit) Hashtbl.t = Hashtbl.create 97 in
+  let count = ref 0 in
+  let rec go st depth =
+    let id = Par.Ptbl.intern ids (Array.of_list (g.graph_digest st)) in
+    match Hashtbl.find_opt memo id with
+    | Some set ->
+        s.memo_hits <- s.memo_hits + 1;
+        set
+    | None ->
+        if Hashtbl.mem on_stack id then raise Cyclic;
+        Hashtbl.add on_stack id ();
+        incr count;
+        s.states <- s.states + 1;
+        if !count > max_states then raise (Too_many_states !count);
+        if depth > s.peak_frontier then s.peak_frontier <- depth;
+        let set =
+          List.fold_left
+            (fun acc (a, st') ->
+              s.edges <- s.edges + 1;
+              let sub = go st' (depth + 1) in
+              Behaviour.Set.union acc (graph_label a sub))
+            (Behaviour.Set.singleton [])
+            (g.graph_transitions st)
+        in
+        Hashtbl.remove on_stack id;
+        Hashtbl.replace memo id set;
+        set
+  in
+  go g.graph_initial 1
 
-let par_graph_behaviours ~pool ~max_states ?stats g =
-  observed "explorer.graph" stats (fun stats ->
-      let s = sink stats in
-      let ids = Par.Ptbl.create ~dummy:() () in
-      let nw = Par.Pool.size pool in
-      let wstats = Array.init nw (fun _ -> create_stats ()) in
-      track_wstats wstats;
-      Fun.protect ~finally:(fun () -> untrack_wstats wstats) @@ fun () ->
-      let _n, succ, _parents, id0 =
-        par_discover ~pool ~max_states ~wstats
-          ~expand:(fun _ _ st -> g.graph_transitions st)
-          ~intern:(fun st ->
-            Par.Ptbl.intern_fresh ids (Array.of_list (g.graph_digest st)))
-          g.graph_initial
-      in
-      let r =
-        fold_graph
-          ~empty:(Behaviour.Set.singleton [])
-          ~union:Behaviour.Set.union ~label:graph_label ~stats:s succ id0
-      in
-      join_wstats ~into:s wstats;
-      s.domains <- max s.domains nw;
-      r)
+let par_graph_behaviours ~max_states ~stats g pool =
+  let s = sink stats in
+  let ids = Par.Ptbl.create ~dummy:() () in
+  let nw = Par.Pool.size pool in
+  let wstats = Array.init nw (fun _ -> create_stats ()) in
+  track_wstats wstats;
+  Fun.protect ~finally:(fun () -> untrack_wstats wstats) @@ fun () ->
+  let _n, succ, _parents, id0 =
+    par_discover ~pool ~max_states ~wstats
+      ~expand:(fun _ _ st -> g.graph_transitions st)
+      ~intern:(fun st ->
+        Par.Ptbl.intern_fresh ids (Array.of_list (g.graph_digest st)))
+      g.graph_initial
+  in
+  let r =
+    fold_graph
+      ~empty:(Behaviour.Set.singleton [])
+      ~union:Behaviour.Set.union ~label:graph_label ~stats:s succ id0
+  in
+  join_wstats ~into:s wstats;
+  s.domains <- max s.domains nw;
+  r
 
 let graph_behaviours ?(max_states = default_max_states) ?stats ?jobs ?pool g =
-  run_par ?jobs ?pool
-    ~seq:(fun () -> seq_graph_behaviours ~max_states ?stats g)
-    ~par:(fun p -> par_graph_behaviours ~pool:p ~max_states ?stats g)
-    ()
+  observed "explorer.graph" stats (fun engine stats ->
+      granular ?jobs ?pool ~max_states ~engine ~stats
+        ~seq:(seq_graph_behaviours g)
+        ~par:(par_graph_behaviours ~max_states ~stats g)
+        ())
+
+(* ------------------------------------------------------------------ *)
+(* Always-stealing entry points                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Parallel = struct
+  let steal name stats f =
+    observed name stats (fun engine stats ->
+        engine := Par;
+        f stats)
+
+  let behaviours ?(max_states = default_max_states) ?local ?stats ~pool sys =
+    steal "explorer.behaviours" stats (fun stats ->
+        par_behaviours ~max_states ~local ~stats sys pool)
+
+  let count_states ?(max_states = default_max_states) ?local ?stats ~pool sys
+      =
+    steal "explorer.count_states" stats (fun stats ->
+        par_count_states ~max_states ~local ~stats sys pool)
+
+  let find_adjacent_race ?(max_states = default_max_states) ?local ?stats
+      ~pool vol sys =
+    steal "explorer.race_search" stats (fun stats ->
+        par_find_adjacent_race ~pool ~max_states ~local ?stats vol sys)
+
+  let graph_behaviours ?(max_states = default_max_states) ?stats ~pool g =
+    steal "explorer.graph" stats (fun stats ->
+        par_graph_behaviours ~max_states ~stats g pool)
+end

@@ -113,30 +113,65 @@ val independent : Thread_id.t * Action.t -> Thread_id.t * Action.t -> bool
 
     {2 Parallel exploration}
 
-    The exhaustive analyses below accept [?jobs] / [?pool] to run the
-    state-space search across multiple domains ({!Par}).  [?pool] (a
-    caller-managed {!Par.Pool.t}, reused across many explorations)
-    takes precedence over [?jobs] (a one-shot pool per call, resolved
-    through {!Par.resolve_jobs}: [0] means all recommended cores).
-    When neither is given, or the resolved size is 1, the sequential
-    engine runs completely unchanged — no mutexes, no atomics.
+    The exhaustive analyses below accept [?jobs] / [?pool].  [?pool]
+    (a caller-managed {!Par.Pool.t}, reused across many explorations)
+    takes precedence over [?jobs] (a pool of that many domains,
+    resolved through {!Par.resolve_jobs}: [0] means all recommended
+    cores).  When neither is given, or the resolved size is 1, the
+    sequential engine runs completely unchanged — no mutexes, no
+    atomics.
 
-    The parallel engine discovers the state graph across per-worker
-    work-stealing deques ({!Par.Ws}: own deque LIFO, steals FIFO;
-    dedupe through the striped packed digest table {!Par.Ptbl}), then
-    folds results over the discovered compact graph sequentially.  The
-    full reduction survives parallelism: persistent-set selection is a
-    pure per-state decision, and sleep sets travel {e inside} each work
+    {b A pool does not mean stealing.}  A pooled call first runs the
+    sequential engine under a budget of [min max_states steal_after].
+    Only when that budget runs out does it start over on the
+    work-stealing engine with the caller's [max_states] (a one-shot
+    [?jobs] pool is created only then).  A [max_states] at or below
+    {!steal_after} therefore runs sequentially only.  Small state
+    spaces never pay for the stealing engine's striped tables, deque
+    traffic and second pass, and a racy program's race search stops
+    at the first race instead of building the whole graph.  The
+    counters in [?stats] are those of the engine that decided the call:
+    an escalated call does not count the abandoned sequential prefix,
+    and [domains] stays 0 when the sequential engine decided.  The
+    [explorer.*] span of each call carries an [engine] attribute:
+    ["seq"], ["par"] (only through {!Parallel}) or ["seq→par"].
+
+    The work-stealing engine discovers the state graph across
+    per-worker deques ({!Par.Ws}: own deque LIFO, steals FIFO; dedupe
+    through the striped packed digest table {!Par.Ptbl}), then folds
+    results over the discovered compact graph sequentially.  The full
+    reduction survives parallelism: persistent-set selection is a pure
+    per-state decision, and sleep sets travel {e inside} each work
     item, with per-state refinement (intersection + re-expansion) in
     the digest table's meta slots converging to an order-independent
-    fixpoint.  {b Results are identical} to the sequential engine:
+    fixpoint.  {b Results are identical} whichever engine decides:
     same behaviour sets, same state counts — [count_states] at
     [jobs N] equals [jobs 1] {e exactly}, with or without [local] —
     same DRF verdicts, same [Cyclic] / [Too_many_states] outcomes.
     Only race-witness {e choice} may differ where several witnesses
-    exist, and under reduction the [edges]/[por_cuts] {e work}
-    counters may exceed the sequential figures (sleep-set refinements
-    re-expand a state; the state and result sets are unaffected). *)
+    exist, and under reduction the stealing engine's [edges]/[por_cuts]
+    {e work} counters may exceed the sequential figures (sleep-set
+    refinements re-expand a state; the state and result sets are
+    unaffected).  {!Parallel} runs the stealing engine unconditionally,
+    for the parity tests and benchmarks that must exercise it. *)
+
+val steal_after : int
+(** The state count past which a pooled call hands its exploration to
+    the work-stealing engine: 16,384.  Chosen from the crossover sweep
+    of [bench parallel] (BENCH_parallel.json), which times reduced
+    [count_states] on generated programs from about 10^2 to 4x10^5
+    states, sequentially and on the stealing engine.  On 2 cores the
+    stealing engine runs at 0.3x to 0.9x of the sequential one below
+    about 3x10^3 states; up to about 1.6x10^4 its margin is thin
+    (1.1x to 1.4x on a 2-domain pool, under 1x on an oversubscribed
+    one) and depends on the program's shape; above, it runs at 1.2x
+    to 1.6x.  An escalated call also pays for its abandoned prefix of
+    [steal_after] states: in the same sweep the pooled call ran at
+    0.75x to 0.9x of the sequential one between 3x10^4 and 6x10^4
+    states, and at 1.1x to 1.3x from about 2x10^5.  Every
+    litmus-corpus program, and every program the benchmark checks
+    exhaustively, stays below it with margin.  Not a flag or an
+    option: it is the one threshold of the engine choice. *)
 
 val behaviours :
   ?max_states:int ->
@@ -148,8 +183,8 @@ val behaviours :
   Behaviour.Set.t
 (** The set of behaviours of all executions.  Prefix-closed.
 
-    [local] enables the reduction (sleep sets sequentially, persistent
-    sets under [jobs]/[pool]); it must return [true] only for actions
+    [local] enables the reduction (persistent sets and sleep sets, in
+    either engine); it must return [true] only for actions
     that are invisible (not external) and independent of every other
     thread — accesses to locations touched by a single thread.  The
     behaviour set is identical with and without [local], and with and
@@ -195,8 +230,8 @@ val find_adjacent_race :
   Interleaving.t option
 (** A witness execution whose last two actions are adjacent conflicting
     accesses by different threads, if one exists.  Each state's enabled
-    set is computed once and shared between the visit and the per-edge
-    race checks.  Under [jobs]/[pool] the existence verdict is
+    labels are computed once and shared between the visit and the
+    per-edge race checks.  Under [jobs]/[pool] the existence verdict is
     deterministic and agrees with the sequential search; the particular
     witness returned may differ (any adjacent race is a valid
     witness).
@@ -285,3 +320,47 @@ val graph_behaviours :
     [graph_digest] from several worker domains concurrently, so any
     state the closures share (e.g. interning tables) must be
     thread-safe — {!Par.Intern} is made for this. *)
+
+(** {1 Always-stealing entry points}
+
+    The work-stealing engine without the sequential first attempt: each
+    function runs the stealing engine on [pool] whatever the size of
+    the state space, and records [domains = Par.Pool.size pool].  The
+    [jobs N ≡ jobs 1] parity tests and [bench parallel] use these, so
+    they keep exercising the stealing engine on small programs that
+    the pooled entry points above would route to the sequential one.
+    Arguments and results are those of the entry points above. *)
+
+module Parallel : sig
+  val behaviours :
+    ?max_states:int ->
+    ?local:(Action.t -> bool) ->
+    ?stats:stats ->
+    pool:Par.Pool.t ->
+    'ts System.t ->
+    Behaviour.Set.t
+
+  val count_states :
+    ?max_states:int ->
+    ?local:(Action.t -> bool) ->
+    ?stats:stats ->
+    pool:Par.Pool.t ->
+    'ts System.t ->
+    int
+
+  val find_adjacent_race :
+    ?max_states:int ->
+    ?local:(Action.t -> bool) ->
+    ?stats:stats ->
+    pool:Par.Pool.t ->
+    Location.Volatile.t ->
+    'ts System.t ->
+    Interleaving.t option
+
+  val graph_behaviours :
+    ?max_states:int ->
+    ?stats:stats ->
+    pool:Par.Pool.t ->
+    'st graph ->
+    Behaviour.Set.t
+end

@@ -60,7 +60,8 @@ val behaviours :
 (** The program's observable behaviours under the model
     (prefix-closed): SC interleavings for {!Sc}, the store-buffer
     machine for {!Tso}/{!Pso}.  [jobs]/[pool] parallelise the
-    exploration; the set is identical. *)
+    exploration past {!Explorer.steal_after} states; the set is
+    identical. *)
 
 val system_behaviours :
   ?max_states:int ->

@@ -75,6 +75,10 @@ end
 module type MACHINE = sig
   val name : string
 
+  type 'ts state
+
+  val graph : Location.Volatile.t -> 'ts System.t -> 'ts state Explorer.graph
+
   val behaviours :
     ?max_states:int ->
     ?stats:Explorer.stats ->
@@ -263,6 +267,27 @@ module Make (B : BUFFER) : MACHINE = struct
     Array.iter push st.tkeys;
     !acc
 
+  let graph vol sys =
+    let tkey = Par.Intern.create () in
+    let lkey = Par.Intern.create () in
+    let mkey = Par.Intern.create () in
+    let threads = Array.of_list sys.System.initial in
+    {
+      Explorer.graph_initial =
+        {
+          threads;
+          tkeys =
+            Array.map
+              (fun ts -> Par.Intern.id tkey (sys.System.key ts))
+              threads;
+          buffers = Array.make (Array.length threads) B.empty;
+          mem = Location.Map.empty;
+          locks = Monitor.Map.empty;
+        };
+      graph_transitions = (fun st -> transitions ~tkey vol sys st);
+      graph_digest = (fun st -> digest ~lkey ~mkey st);
+    }
+
   let behaviours ?max_states ?stats ?jobs ?pool vol sys =
     let sp =
       if Safeopt_obs.Tracer.enabled () then
@@ -274,26 +299,8 @@ module Make (B : BUFFER) : MACHINE = struct
     Fun.protect
       ~finally:(fun () -> Safeopt_obs.Tracer.close_span sp)
       (fun () ->
-        let tkey = Par.Intern.create () in
-        let lkey = Par.Intern.create () in
-        let mkey = Par.Intern.create () in
-        let threads = Array.of_list sys.System.initial in
         Explorer.graph_behaviours ?max_states ?stats ?jobs ?pool
-          {
-            Explorer.graph_initial =
-              {
-                threads;
-                tkeys =
-                  Array.map
-                    (fun ts -> Par.Intern.id tkey (sys.System.key ts))
-                    threads;
-                buffers = Array.make (Array.length threads) B.empty;
-                mem = Location.Map.empty;
-                locks = Monitor.Map.empty;
-              };
-            graph_transitions = (fun st -> transitions ~tkey vol sys st);
-            graph_digest = (fun st -> digest ~lkey ~mkey st);
-          })
+          (graph vol sys))
 
   let program_behaviours ?fuel ?max_states ?stats ?jobs ?pool
       (p : Ast.program) =

@@ -56,6 +56,14 @@ module Pso_buffer : BUFFER
 module type MACHINE = sig
   val name : string
 
+  type 'ts state
+  (** A machine state over thread states ['ts]. *)
+
+  val graph : Location.Volatile.t -> 'ts System.t -> 'ts state Explorer.graph
+  (** The machine's state graph over a thread system: what
+      {!behaviours} explores.  Each call gets its own interning tables,
+      safe to share across the domains of a pool. *)
+
   val behaviours :
     ?max_states:int ->
     ?stats:Explorer.stats ->
@@ -67,7 +75,8 @@ module type MACHINE = sig
   (** All observable behaviours of the system under the model
       (prefix-closed), on the unified engine
       ({!Explorer.graph_behaviours}).  [jobs]/[pool] parallelise the
-      state discovery; the resulting set is identical.
+      state discovery past {!Explorer.steal_after} states; the
+      resulting set is identical.
       @raise Explorer.Cyclic / @raise Explorer.Too_many_states as the
       SC engine does. *)
 

@@ -27,6 +27,16 @@ type agg = {
   a_self : float;  (** total minus time inside child spans *)
 }
 
+(* An exploration span names the engine that decided it ("seq", "par",
+   "seq→par") in an [engine] attribute on its end event; the profile
+   keeps the engines apart as [name[engine]], so an escalated call's
+   time (abandoned sequential prefix included) is not averaged into
+   the sequential calls'. *)
+let with_engine name (e : Event.t) =
+  match List.assoc_opt "engine" e.attrs with
+  | Some (Event.Str engine) -> name ^ "[" ^ engine ^ "]"
+  | _ -> name
+
 (* Build the span forest: nodes indexed by span id, roots in begin
    order.  Unclosed spans (a crashed or truncated trace) get the last
    timestamp seen, so their time is still accounted for. *)
@@ -55,7 +65,9 @@ let forest (events : Event.t list) =
           else roots := e.id :: !roots
       | Event.End -> (
           match Hashtbl.find_opt nodes e.id with
-          | Some n -> Hashtbl.replace nodes e.id { n with n_stop = e.ts }
+          | Some n ->
+              Hashtbl.replace nodes e.id
+                { n with n_name = with_engine n.n_name e; n_stop = e.ts }
           | None -> ())
       | Event.Instant | Event.Counter -> ())
     events;

@@ -14,7 +14,9 @@
       speedscope and flamegraph.pl both consume it directly.
 
     Unclosed spans (truncated traces) are clamped to the last timestamp
-    in the stream so their time still shows up. *)
+    in the stream so their time still shows up.  A span whose end event
+    carries an [engine] attribute (the explorer's entry points: ["seq"],
+    ["par"] or ["seq→par"]) is named [name[engine]] in both views. *)
 
 type agg = {
   a_name : string;

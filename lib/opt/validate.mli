@@ -84,7 +84,8 @@ val validate :
     ({!Safeopt_analysis.Static_race.certified_drf}); only when the
     analysis reports potential races does the exhaustive interleaving
     enumeration run.  [jobs]/[pool] parallelise those enumerations at
-    the state-space level; the report is unchanged. *)
+    the state-space level past {!Explorer.steal_after} states; the
+    report is unchanged. *)
 
 val drf_fast :
   ?fuel:int ->

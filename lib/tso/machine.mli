@@ -35,7 +35,8 @@ val behaviours :
 (** All observable behaviours of the system under TSO (prefix-closed),
     computed on the unified engine ({!Explorer.graph_behaviours}) with
     hash-consed machine states.  [jobs]/[pool] parallelise the state
-    discovery ({!Safeopt_exec.Par}); the resulting set is identical.
+    discovery ({!Safeopt_exec.Par}) past {!Explorer.steal_after}
+    states; the resulting set is identical.
     @raise Explorer.Cyclic / @raise Explorer.Too_many_states as the
     SC engine does. *)
 

@@ -29,7 +29,8 @@ val behaviours :
   'ts System.t ->
   Behaviour.Set.t
 (** As {!Machine.behaviours}, under PSO.  [jobs]/[pool] parallelise the
-    state discovery; the resulting set is identical. *)
+    state discovery past {!Explorer.steal_after} states; the resulting
+    set is identical. *)
 
 val program_behaviours :
   ?fuel:int ->

@@ -87,3 +87,39 @@ let full_find_race ?fuel ?max_states ?stats ?pool p =
   Safeopt_exec.Explorer.find_adjacent_race ?max_states ?stats ?pool
     p.Safeopt_lang.Ast.volatile
     (Safeopt_lang.Thread_system.make ?fuel p)
+
+(* The work-stealing engine, unconditionally ({!Explorer.Parallel}).  A
+   pooled [Interp] or [Explorer] call on a small program is decided by
+   the sequential engine, so every jobs N ≡ jobs 1 parity check runs on
+   these: [par_*] under the reduction, as [Interp] explores, and
+   [par_full_*] without it, as the [full_*] helpers above. *)
+let par_behaviours ?max_states ?stats ~pool p =
+  Safeopt_exec.Explorer.Parallel.behaviours ?max_states ?stats
+    ~local:(Safeopt_lang.Thread_system.local_actions p)
+    ~pool
+    (Safeopt_lang.Thread_system.make p)
+
+let par_count_states ?max_states ?stats ~pool p =
+  Safeopt_exec.Explorer.Parallel.count_states ?max_states ?stats
+    ~local:(Safeopt_lang.Thread_system.local_actions p)
+    ~pool
+    (Safeopt_lang.Thread_system.make p)
+
+let par_find_race ?max_states ?stats ~pool p =
+  Safeopt_exec.Explorer.Parallel.find_adjacent_race ?max_states ?stats
+    ~local:(Safeopt_lang.Thread_system.local_actions p)
+    ~pool p.Safeopt_lang.Ast.volatile
+    (Safeopt_lang.Thread_system.make p)
+
+let par_full_behaviours ?stats ~pool p =
+  Safeopt_exec.Explorer.Parallel.behaviours ?stats ~pool
+    (Safeopt_lang.Thread_system.make p)
+
+let par_full_count_states ?stats ~pool p =
+  Safeopt_exec.Explorer.Parallel.count_states ?stats ~pool
+    (Safeopt_lang.Thread_system.make p)
+
+let par_full_find_race ~pool p =
+  Safeopt_exec.Explorer.Parallel.find_adjacent_race ~pool
+    p.Safeopt_lang.Ast.volatile
+    (Safeopt_lang.Thread_system.make p)

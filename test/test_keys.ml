@@ -8,7 +8,9 @@
    states with different futures would shrink the count, one that split
    equal states would grow it) and the same behaviours, under SC at
    jobs 1 and 2 with POR off and on, and under the TSO and PSO
-   store-buffer machines. *)
+   store-buffer machines.  The jobs-2 cases run the work-stealing engine
+   unconditionally ([Explorer.Parallel]), whose interning tables are
+   the striped ones. *)
 
 open Safeopt_trace
 open Safeopt_lang
@@ -150,8 +152,18 @@ let sc_agrees p =
       let local =
         if por then Some (Thread_system.local_actions p) else None
       in
-      let count sys () = Explorer.count_states ~max_states ?local ?pool sys in
-      let beh sys () = Explorer.behaviours ~max_states ?local ?pool sys in
+      let count sys () =
+        match pool with
+        | None -> Explorer.count_states ~max_states ?local sys
+        | Some pool ->
+            Explorer.Parallel.count_states ~max_states ?local ~pool sys
+      in
+      let beh sys () =
+        match pool with
+        | None -> Explorer.behaviours ~max_states ?local sys
+        | Some pool ->
+            Explorer.Parallel.behaviours ~max_states ?local ~pool sys
+      in
       outcome (count ours) = outcome (count ref_)
       && same_behaviours (outcome (beh ours)) (outcome (beh ref_)))
     [ (None, false); (None, true); (Some pool2, false); (Some pool2, true) ]
@@ -161,7 +173,13 @@ let weak_agrees p =
   let vol = p.Ast.volatile in
   List.for_all
     (fun ((module M : Store_buffer.MACHINE), pool) ->
-      let beh sys () = M.behaviours ~max_states ?pool vol sys in
+      let beh sys () =
+        match pool with
+        | None -> M.behaviours ~max_states vol sys
+        | Some pool ->
+            Explorer.Parallel.graph_behaviours ~max_states ~pool
+              (M.graph vol sys)
+      in
       same_behaviours (outcome (beh ours)) (outcome (beh ref_)))
     [
       ((module Store_buffer.Tso), None);

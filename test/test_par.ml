@@ -1,6 +1,12 @@
 (* Domain-parallel exploration: every parallel entry point must produce
    results identical to its sequential counterpart (the Par determinism
-   contract), and the pool/queue primitives themselves must behave. *)
+   contract), and the pool/queue primitives themselves must behave.
+
+   A pooled exploration of a small program is decided by the sequential
+   engine (see [Explorer.steal_after]), so the parity checks run the
+   work-stealing engine through [Explorer.Parallel] (the [par_*]
+   helpers), and the engine-choice tests pin which engine a pooled call
+   uses. *)
 
 open Safeopt_exec
 open Safeopt_lang
@@ -153,34 +159,37 @@ let test_corpus_determinism () =
     (fun (t : Litmus.t) ->
       let p = Litmus.program t in
       let seq = Interp.behaviours p in
-      let par1 = Interp.behaviours ~pool p in
-      let par2 = Interp.behaviours ~pool p in
+      let par1 = par_behaviours ~pool p in
+      let par2 = par_behaviours ~pool p in
       if not (Behaviour.Set.equal seq par1) then
         Alcotest.failf "%s: parallel behaviours differ from sequential"
           t.Litmus.name;
       if not (Behaviour.Set.equal par1 par2) then
         Alcotest.failf "%s: two parallel runs disagree" t.Litmus.name;
-      if Interp.is_drf p <> Interp.is_drf ~pool p then
+      if Interp.is_drf p <> Option.is_none (par_find_race ~pool p) then
         Alcotest.failf "%s: parallel DRF verdict differs" t.Litmus.name;
-      if Interp.count_states p <> Interp.count_states ~pool p then
+      if Interp.count_states p <> par_count_states ~pool p then
         Alcotest.failf "%s: parallel state count differs" t.Litmus.name;
       (* the unreduced engine, the reference of every POR check *)
-      if not (Behaviour.Set.equal (full_behaviours p) (full_behaviours ~pool p))
+      if
+        not
+          (Behaviour.Set.equal (full_behaviours p)
+             (par_full_behaviours ~pool p))
       then
         Alcotest.failf "%s: unreduced parallel behaviours differ"
           t.Litmus.name;
       if Option.is_some (full_find_race p)
-         <> Option.is_some (full_find_race ~pool p)
+         <> Option.is_some (par_full_find_race ~pool p)
       then
         Alcotest.failf "%s: unreduced parallel DRF verdict differs"
           t.Litmus.name;
-      if full_count_states p <> full_count_states ~pool p then
+      if full_count_states p <> par_full_count_states ~pool p then
         Alcotest.failf "%s: unreduced parallel state count differs"
           t.Litmus.name)
     Corpus.all
 
-(* A one-shot ?jobs call (no pre-built pool) takes the pool-per-call
-   path; jobs = 1 must stay on the sequential one. *)
+(* A one-shot ?jobs call (no pre-built pool) creates its pool only if
+   it escalates past [steal_after]; jobs = 1 never does. *)
 let test_jobs_entry () =
   let p = Litmus.program Corpus.sb in
   Alcotest.check behaviour_set "jobs:2 equals sequential"
@@ -197,7 +206,7 @@ let qcheck_parallel_equiv =
     (QCheck2.Test.make
        ~name:"parallel behaviours equal sequential (300 random programs)"
        ~count:300 ~print:Generators.print_program Generators.program (fun p ->
-         Behaviour.Set.equal (Interp.behaviours p) (Interp.behaviours ~pool p)))
+         Behaviour.Set.equal (Interp.behaviours p) (par_behaviours ~pool p)))
 
 (* The headline parity property of the work-stealing engine: behaviour
    sets AND state counts are identical across jobs ∈ {1, 2, 4}, with
@@ -211,21 +220,21 @@ let qcheck_jobs_parity =
          "count_states and behaviours identical across jobs {1,2,4} (300 \
           random programs, POR on and off)"
        ~count:300 ~print:Generators.print_program Generators.program (fun p ->
-         let parity beh count =
-           let b1 = beh ?pool:None p in
-           let c1 = count ?pool:None p in
+         let parity (b1, c1) par_beh par_count =
            List.for_all
-             (fun pl ->
-               Behaviour.Set.equal b1 (beh ?pool:(Some pl) p)
-               && c1 = count ?pool:(Some pl) p)
+             (fun pool ->
+               Behaviour.Set.equal b1 (par_beh ~pool p)
+               && c1 = par_count ~pool p)
              [ pool2; pool ]
          in
          parity
-           (fun ?pool p -> full_behaviours ?pool p)
-           (fun ?pool p -> full_count_states ?pool p)
+           (full_behaviours p, full_count_states p)
+           (fun ~pool p -> par_full_behaviours ~pool p)
+           (fun ~pool p -> par_full_count_states ~pool p)
          && parity
-              (fun ?pool p -> Interp.behaviours ?pool p)
-              (fun ?pool p -> Interp.count_states ?pool p)))
+              (Interp.behaviours p, Interp.count_states p)
+              (fun ~pool p -> par_behaviours ~pool p)
+              (fun ~pool p -> par_count_states ~pool p)))
 
 (* Acceptance criterion: POR-reduced state counts match exactly across
    jobs 1/2/4 on the full litmus corpus. *)
@@ -234,8 +243,8 @@ let test_corpus_por_parity () =
     (fun (t : Litmus.t) ->
       let p = Litmus.program t in
       let c1 = Interp.count_states p in
-      let c2 = Interp.count_states ~pool:pool2 p in
-      let c4 = Interp.count_states ~pool p in
+      let c2 = par_count_states ~pool:pool2 p in
+      let c4 = par_count_states ~pool p in
       if not (c1 = c2 && c2 = c4) then
         Alcotest.failf
           "%s: reduced state counts differ across jobs (1:%d 2:%d 4:%d)"
@@ -261,6 +270,11 @@ let test_stats_aggregation () =
 
 (* --- graph engine (TSO/PSO) ------------------------------------------ *)
 
+module Store_buffer = Safeopt_model.Store_buffer
+
+let tso_graph p =
+  Store_buffer.Tso.graph p.Ast.volatile (Thread_system.make p)
+
 let test_graph_parallel () =
   List.iter
     (fun (t : Litmus.t) ->
@@ -269,13 +283,14 @@ let test_graph_parallel () =
         not
           (Behaviour.Set.equal
              (Safeopt_tso.Machine.program_behaviours p)
-             (Safeopt_tso.Machine.program_behaviours ~pool p))
+             (Explorer.Parallel.graph_behaviours ~pool (tso_graph p)))
       then Alcotest.failf "%s: parallel TSO behaviours differ" t.Litmus.name)
     (List.filteri (fun i _ -> i < 8) Corpus.all);
   let sb = Litmus.program Corpus.sb in
   Alcotest.check behaviour_set "parallel PSO behaviours equal sequential"
     (Safeopt_tso.Pso.program_behaviours sb)
-    (Safeopt_tso.Pso.program_behaviours ~pool sb)
+    (Explorer.Parallel.graph_behaviours ~pool
+       (Store_buffer.Pso.graph sb.Ast.volatile (Thread_system.make sb)))
 
 (* --- batch validation and the pipeline -------------------------------- *)
 
@@ -337,6 +352,174 @@ let test_pipeline_reject_parallel () =
   Alcotest.check program "both keep the last accepted program"
     seq.Pipeline.final par.Pipeline.final
 
+(* --- engine choice ------------------------------------------------------ *)
+
+(* The stealing route steals whatever the size of the program: each
+   [Explorer.Parallel] function records the pool's domains. *)
+let test_parallel_route_steals () =
+  let p = Litmus.program Corpus.sb in
+  let domains f =
+    let s = Explorer.create_stats () in
+    ignore (f s);
+    s.Explorer.domains
+  in
+  List.iter
+    (fun (what, d) ->
+      check_b (what ^ " ran the stealing engine") true (d >= 2))
+    [
+      ("behaviours", domains (fun stats -> par_behaviours ~stats ~pool p));
+      ("count_states", domains (fun stats -> par_count_states ~stats ~pool p));
+      ("race search", domains (fun stats -> par_find_race ~stats ~pool p));
+      ( "graph",
+        domains (fun stats ->
+            Explorer.Parallel.graph_behaviours ~stats ~pool (tso_graph p))
+      );
+    ]
+
+(* A pooled call on a corpus program never reaches [steal_after]: the
+   sequential engine decides it and no domain is recorded. *)
+let test_small_stays_sequential () =
+  List.iter
+    (fun (t : Litmus.t) ->
+      let p = Litmus.program t in
+      let s = Explorer.create_stats () in
+      let b = Interp.behaviours ~stats:s ~pool p in
+      let c = Interp.count_states ~stats:s ~pool p in
+      let drf = Interp.is_drf ~stats:s ~pool p in
+      let tso = Safeopt_tso.Machine.program_behaviours ~stats:s ~pool p in
+      check_i (t.Litmus.name ^ ": no domains recorded") 0 s.Explorer.domains;
+      check_i (t.Litmus.name ^ ": no steals") 0 s.Explorer.steals;
+      Alcotest.check behaviour_set (t.Litmus.name ^ ": behaviours as jobs 1")
+        (Interp.behaviours p) b;
+      check_i (t.Litmus.name ^ ": count as jobs 1") (Interp.count_states p) c;
+      check_b (t.Litmus.name ^ ": verdict as jobs 1") (Interp.is_drf p) drf;
+      Alcotest.check behaviour_set (t.Litmus.name ^ ": TSO as jobs 1")
+        (Safeopt_tso.Machine.program_behaviours p)
+        tso)
+    [ Corpus.sb; Corpus.mp; Corpus.atomic_faa_counter ]
+
+(* Six threads each reading one shared location twice and printing
+   both reads, and a seventh that prints once: the prints keep the
+   reduced state space at about 3x10^4 states, above [steal_after]. *)
+let above_threshold =
+  parse
+    (String.concat "\n"
+       (List.init 6 (fun _ ->
+            "thread { r1 := x; r2 := x; print r2; print r1; }")
+       @ [ "thread { print 7; }" ]))
+
+let test_escalation () =
+  let p = above_threshold in
+  let s1 = Explorer.create_stats () in
+  let c1 = Interp.count_states ~stats:s1 p in
+  check_b
+    (Printf.sprintf "the program is above steal_after (%d > %d)" c1
+       Explorer.steal_after)
+    true
+    (c1 > Explorer.steal_after);
+  let s = Explorer.create_stats () in
+  let c = Interp.count_states ~stats:s ~pool:pool2 p in
+  check_i "escalated count equals jobs 1" c1 c;
+  check_i "stats.states is the jobs-1 count, without the abandoned prefix"
+    s1.Explorer.states s.Explorer.states;
+  check_b "the stealing engine decided" true (s.Explorer.domains >= 2);
+  let sb = Explorer.create_stats () in
+  Alcotest.check behaviour_set "escalated behaviours equal jobs 1"
+    (Interp.behaviours p)
+    (Interp.behaviours ~stats:sb ~pool:pool2 p);
+  check_b "behaviours escalated" true (sb.Explorer.domains >= 2);
+  check_i "a one-shot jobs:2 call escalates to the same count" c1
+    (Interp.count_states ~jobs:2 p);
+  (* the race search: DRF (reads only), so it exhausts its space *)
+  let r1 = Explorer.create_stats () in
+  let drf1 = Interp.is_drf ~stats:r1 p in
+  let r = Explorer.create_stats () in
+  check_b "escalated race verdict equals jobs 1" drf1
+    (Interp.is_drf ~stats:r ~pool:pool2 p);
+  check_b "race search escalated exactly when past steal_after"
+    (r1.Explorer.states > Explorer.steal_after)
+    (r.Explorer.domains >= 2)
+
+(* A budget between [steal_after] and the true count: the sequential
+   first attempt runs out of [steal_after], the stealing engine then
+   out of the caller's budget, exactly as jobs 1 runs out of it.  A
+   budget of at most [steal_after] runs the sequential engine alone. *)
+let test_budget_between () =
+  let p = above_threshold in
+  let c1 = Interp.count_states p in
+  let max_states = (Explorer.steal_after + c1) / 2 in
+  let exceeds f =
+    try
+      ignore (f ());
+      false
+    with Explorer.Too_many_states _ -> true
+  in
+  check_b "jobs 1 exceeds the budget" true
+    (exceeds (fun () -> Interp.count_states ~max_states p));
+  check_b "the pool exceeds the budget" true
+    (exceeds (fun () -> Interp.count_states ~max_states ~pool:pool2 p));
+  check_b "pooled behaviours exceed the budget" true
+    (exceeds (fun () -> Interp.behaviours ~max_states ~pool:pool2 p));
+  let s = Explorer.create_stats () in
+  check_b "a budget of steal_after raises under the pool" true
+    (exceeds (fun () ->
+         Interp.count_states ~stats:s ~max_states:Explorer.steal_after
+           ~pool:pool2 p));
+  check_i "and never reaches the stealing engine" 0 s.Explorer.domains;
+  check_b "a budget above the count does not raise" false
+    (exceeds (fun () ->
+         Interp.count_states ~max_states:(c1 + 1) ~pool:pool2 p))
+
+(* A cycle found by the sequential first attempt is decisive, as a cycle
+   found by either engine always was. *)
+let test_cyclic_pooled () =
+  let g =
+    {
+      Explorer.graph_initial = 0;
+      graph_transitions = (fun st -> [ (None, (st + 1) mod 3) ]);
+      graph_digest = (fun st -> [ st ]);
+    }
+  in
+  let cyclic f =
+    try
+      ignore (f ());
+      false
+    with Explorer.Cyclic -> true
+  in
+  check_b "jobs 1 raises Cyclic" true
+    (cyclic (fun () -> Explorer.graph_behaviours g));
+  check_b "the pool raises Cyclic" true
+    (cyclic (fun () -> Explorer.graph_behaviours ~pool g))
+
+(* The [explorer.*] span names the engine that decided: "seq" for a
+   pooled call on a small program, "par" on the stealing route, and
+   "seq→par" for an escalated pooled call. *)
+let test_engine_attribute () =
+  let module Tracer = Safeopt_obs.Tracer in
+  let module Event = Safeopt_obs.Event in
+  let small = Litmus.program Corpus.sb in
+  Tracer.start Tracer.Memory;
+  let events =
+    Fun.protect
+      ~finally:(fun () -> ignore (Tracer.stop () : Event.t list))
+      (fun () ->
+        ignore (Interp.count_states ~pool small);
+        ignore (par_count_states ~pool small);
+        ignore (Interp.count_states ~pool above_threshold);
+        Tracer.stop ())
+  in
+  let engines =
+    List.filter_map
+      (fun (e : Event.t) ->
+        match (e.Event.kind, List.assoc_opt "engine" e.Event.attrs) with
+        | Event.End, Some (Event.Str v) -> Some v
+        | _ -> None)
+      events
+  in
+  Alcotest.(check (list string))
+    "one engine attribute per entry point, in call order"
+    [ "seq"; "par"; "seq→par" ] engines
+
 let () =
   Alcotest.run "par"
     [
@@ -367,6 +550,20 @@ let () =
         [ Alcotest.test_case "stats merge" `Slow test_stats_aggregation ] );
       ( "graph engine",
         [ Alcotest.test_case "tso/pso" `Slow test_graph_parallel ] );
+      ( "engine pick",
+        [
+          Alcotest.test_case "stealing route records domains" `Quick
+            test_parallel_route_steals;
+          Alcotest.test_case "small pooled calls stay sequential" `Quick
+            test_small_stays_sequential;
+          Alcotest.test_case "escalation past steal_after" `Slow
+            test_escalation;
+          Alcotest.test_case "budget between steal_after and the count"
+            `Slow test_budget_between;
+          Alcotest.test_case "cycles under a pool" `Quick test_cyclic_pooled;
+          Alcotest.test_case "engine span attribute" `Slow
+            test_engine_attribute;
+        ] );
       ( "batch",
         [
           Alcotest.test_case "validate_batch" `Slow test_validate_batch;

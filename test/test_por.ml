@@ -82,8 +82,9 @@ let replays p i =
        (Interleaving.thread_traces i)
   && Race.adjacent_race p.Ast.volatile i = Some (n - 2, n - 1)
 
-(* The reduced search (Interp, jobs 1 and 2) agrees with the unreduced
-   one on the DRF verdict, and every witness it returns replays.  A
+(* The reduced search (Interp at jobs 1, the stealing engine at jobs 2)
+   agrees with the unreduced one on the DRF verdict, and every witness
+   it returns replays.  A
    budget both sides exceed still agrees, and so does one only the
    unreduced side exceeds; the reduced side alone exceeding it does
    not. *)
@@ -95,9 +96,12 @@ let reduced_race_search_agrees p =
   let full = outcome (fun () -> full_find_race ~max_states p) in
   List.for_all
     (fun pool ->
-      match
-        (full, outcome (fun () -> Interp.find_race ~max_states ?pool p))
-      with
+      let reduced () =
+        match pool with
+        | None -> Interp.find_race ~max_states p
+        | Some pool -> par_find_race ~max_states ~pool p
+      in
+      match (full, outcome reduced) with
       | Ok None, Ok None -> true
       | Ok (Some _), Ok (Some i) -> replays p i
       | Error (), Error () -> true
@@ -134,6 +138,42 @@ let private_work =
      thread { b1 := 1; b2 := 2; b3 := 3; lock m; r2 := c; c := r2; unlock m; \
      b1 := r2; }"
 
+(* Successors are built lazily: a reduced exploration computes a thread
+   key for each initial thread and each followed edge, never for a
+   transition the persistent set or a sleep set cuts. *)
+let test_lazy_successors () =
+  let sys = Thread_system.make heavy in
+  let calls = ref 0 in
+  let counted =
+    {
+      sys with
+      Safeopt_exec.System.key =
+        (fun ts ->
+          incr calls;
+          sys.Safeopt_exec.System.key ts);
+    }
+  in
+  let s = Safeopt_exec.Explorer.create_stats () in
+  let b =
+    Safeopt_exec.Explorer.behaviours
+      ~local:(Thread_system.local_actions heavy)
+      ~stats:s counted
+  in
+  Alcotest.check behaviour_set "the counting system explores as Interp"
+    (Interp.behaviours heavy) b;
+  let edges = s.Safeopt_exec.Explorer.edges
+  and cuts = s.Safeopt_exec.Explorer.por_cuts in
+  check_b "the reduction cuts transitions" true (cuts > 0);
+  Alcotest.(check int)
+    "one key per initial thread and per followed edge"
+    (List.length sys.Safeopt_exec.System.initial + edges)
+    !calls;
+  check_b
+    (Printf.sprintf "fewer keys than enabled transitions (%d < %d + %d)"
+       !calls edges cuts)
+    true
+    (!calls < edges + cuts)
+
 let test_race_search_cuts () =
   let reduced = Safeopt_exec.Explorer.create_stats () in
   let full = Safeopt_exec.Explorer.create_stats () in
@@ -160,6 +200,8 @@ let () =
           Alcotest.test_case "same-location RMWs stay dependent" `Quick
             test_same_location_rmws_dependent;
           Alcotest.test_case "all-shared case" `Quick test_all_shared;
+          Alcotest.test_case "successors built lazily" `Quick
+            test_lazy_successors;
         ] );
       ( "race search",
         [
