@@ -3,6 +3,8 @@
    of DESIGN.md), then times each experiment's workload with Bechamel
    (performance series P1).
 
+   Every claim gates: the run exits 1 when one fails (Bench.status).
+
    Run with: dune exec bench/main.exe *)
 
 open Safeopt_trace
@@ -10,15 +12,11 @@ open Safeopt_exec
 open Safeopt_lang
 open Safeopt_litmus
 
+module Obs = Safeopt_obs
+module Bench = Obs.Bench
+module Json = Obs.Json
+
 let vol0 = Location.Volatile.none
-
-let hr fmt =
-  Fmt.pr "@.=== %s ===@." (Fmt.str fmt)
-
-let claim name expected actual =
-  Fmt.pr "  %-58s %s (expected %b, got %b)@." name
-    (if expected = actual then "OK" else "MISMATCH")
-    expected actual
 
 let behaviours_str p =
   String.concat " | " (Interp.behaviour_strings (Interp.behaviours p))
@@ -53,18 +51,18 @@ let par_count_states ?stats ~pool p =
 (* ------------------------------------------------------------------ *)
 
 let e1 () =
-  hr "E1: section 1 intro example (constant propagation)";
+  Bench.section "E1: section 1 intro example (constant propagation)";
   let orig = Litmus.program Corpus.intro_racy in
   let opt = Litmus.program Corpus.intro_racy_opt in
   let volp = Litmus.program Corpus.intro_volatile in
   Fmt.pr "  original behaviours:    %s@." (behaviours_str orig);
   Fmt.pr "  optimised behaviours:   %s@." (behaviours_str opt);
   Fmt.pr "  volatile behaviours:    %s@." (behaviours_str volp);
-  claim "original cannot print 1" true (not (Interp.can_output orig 1));
-  claim "optimised can print 1" true (Interp.can_output opt 1);
-  claim "original is racy (flags)" true (not (Interp.is_drf orig));
-  claim "volatile variant is DRF" true (Interp.is_drf volp);
-  claim "volatile variant still cannot print 1" true
+  Bench.claim "original cannot print 1" (not (Interp.can_output orig 1));
+  Bench.claim "optimised can print 1" (Interp.can_output opt 1);
+  Bench.claim "original is racy (flags)" (not (Interp.is_drf orig));
+  Bench.claim "volatile variant is DRF" (Interp.is_drf volp);
+  Bench.claim "volatile variant still cannot print 1"
     (not (Interp.can_output volp 1));
   (* the racy rewrite is a legitimate semantic elimination, the
      volatile one is not *)
@@ -75,11 +73,11 @@ let e1 () =
       ~universe
       ~transformed:(Denote.traceset ~universe ~max_len:12 p')
   in
-  claim "racy rewrite is a semantic elimination" true (elim orig opt);
+  Bench.claim "racy rewrite is a semantic elimination" (elim orig opt);
   let vol_opt =
     { opt with Ast.volatile = volp.Ast.volatile }
   in
-  claim "same rewrite on the volatile program is NOT an elimination" true
+  Bench.claim "same rewrite on the volatile program is NOT an elimination"
     (not (elim volp vol_opt))
 
 (* ------------------------------------------------------------------ *)
@@ -87,19 +85,19 @@ let e1 () =
 (* ------------------------------------------------------------------ *)
 
 let e2 () =
-  hr "E2: Figure 1 (write and read elimination)";
+  Bench.section "E2: Figure 1 (write and read elimination)";
   let orig = Litmus.program Corpus.fig1_original in
   let trans = Litmus.program Corpus.fig1_transformed in
   Fmt.pr "  original behaviours:    %s@." (behaviours_str orig);
   Fmt.pr "  transformed behaviours: %s@." (behaviours_str trans);
-  claim "original cannot output 1 then 0" true
+  Bench.claim "original cannot output 1 then 0"
     (not (Behaviour.Set.mem [ 1; 0 ] (Interp.behaviours orig)));
-  claim "transformed can output 1 then 0" true
+  Bench.claim "transformed can output 1 then 0"
     (Behaviour.Set.mem [ 1; 0 ] (Interp.behaviours trans));
-  claim "both racy (no DRF guarantee violation)" true
+  Bench.claim "both racy (no DRF guarantee violation)"
     ((not (Interp.is_drf orig)) && not (Interp.is_drf trans));
   let universe = Denote.joint_universe [ orig; trans ] in
-  claim "transformed traceset is an elimination of the original" true
+  Bench.claim "transformed traceset is an elimination of the original"
     (Safeopt_core.Elimination.is_elimination vol0
        ~original:(Denote.traceset ~universe ~max_len:10 orig)
        ~universe
@@ -123,19 +121,19 @@ let fig2_elim_closure_mem orig_ts universe =
         b
 
 let e3 () =
-  hr "E3: Figure 2 (read/write reordering)";
+  Bench.section "E3: Figure 2 (read/write reordering)";
   let orig = Litmus.program Corpus.fig2_original in
   let trans = Litmus.program Corpus.fig2_transformed in
   Fmt.pr "  original behaviours:    %s@." (behaviours_str orig);
   Fmt.pr "  transformed behaviours: %s@." (behaviours_str trans);
-  claim "original cannot print 1" true (not (Interp.can_output orig 1));
-  claim "transformed can print 1" true (Interp.can_output trans 1);
+  Bench.claim "original cannot print 1" (not (Interp.can_output orig 1));
+  Bench.claim "transformed can print 1" (Interp.can_output trans 1);
   let universe = Denote.joint_universe [ orig; trans ] in
   let ts_o = Denote.traceset ~universe ~max_len:8 orig in
   let ts_t = Denote.traceset ~universe ~max_len:8 trans in
-  claim "NOT a reordering of the original traceset alone" true
+  Bench.claim "NOT a reordering of the original traceset alone"
     (not (Safeopt_core.Reorder.is_reordering vol0 ~original:ts_o ~transformed:ts_t));
-  claim "a reordering of an elimination of the original (sec. 4)" true
+  Bench.claim "a reordering of an elimination of the original (sec. 4)"
     (Safeopt_core.Reorder.is_reordering_of_oracle vol0
        ~mem:(fig2_elim_closure_mem ts_o universe)
        ~transformed:ts_t)
@@ -145,24 +143,25 @@ let e3 () =
 (* ------------------------------------------------------------------ *)
 
 let e4 () =
-  hr "E4: Figure 3 (irrelevant read introduction breaks the guarantee)";
+  Bench.section
+    "E4: Figure 3 (irrelevant read introduction breaks the guarantee)";
   let a = Litmus.program Corpus.fig3_a in
   let b = Litmus.program Corpus.fig3_b in
   let c = Litmus.program Corpus.fig3_c in
   Fmt.pr "  (a) %s@.  (b) %s@.  (c) %s@." (behaviours_str a)
     (behaviours_str b) (behaviours_str c);
   let can00 p = Behaviour.Set.mem [ 0; 0 ] (Interp.behaviours p) in
-  claim "(a) DRF, cannot print two zeros" true
+  Bench.claim "(a) DRF, cannot print two zeros"
     (Interp.is_drf a && not (can00 a));
-  claim "(b) racy, still cannot print two zeros" true
+  Bench.claim "(b) racy, still cannot print two zeros"
     ((not (Interp.is_drf b)) && not (can00 b));
-  claim "(c) prints two zeros" true (can00 c);
+  Bench.claim "(c) prints two zeros" (can00 c);
   let b' = Safeopt_opt.Passes.introduce_irrelevant_reads a in
-  claim "(a)->(b): SC behaviours preserved, DRF destroyed" true
+  Bench.claim "(a)->(b): SC behaviours preserved, DRF destroyed"
     (Behaviour.Set.equal (Interp.behaviours a) (Interp.behaviours b')
     && not (Interp.is_drf b'));
   let c' = Safeopt_opt.Passes.eliminate_reads_across_acquires b in
-  claim "(b)->(c): cross-acquire elimination reproduces (c)" true
+  Bench.claim "(b)->(c): cross-acquire elimination reproduces (c)"
     (Behaviour.Set.equal (Interp.behaviours c) (Interp.behaviours c'))
 
 (* ------------------------------------------------------------------ *)
@@ -170,7 +169,7 @@ let e4 () =
 (* ------------------------------------------------------------------ *)
 
 let e5 () =
-  hr "E5: section 4 reorderability matrix";
+  Bench.section "E5: section 4 reorderability matrix";
   Fmt.pr "%a" Safeopt_core.Reorder.pp_matrix ();
   (* the paper's check-marks, row-major, distinct locations:
      W: y y y x y / R: y y y x y / Acq: all x / Rel: y y x x x /
@@ -185,7 +184,7 @@ let e5 () =
     ]
   in
   let m = Safeopt_core.Reorder.matrix ~same_location:false in
-  claim "matrix matches the paper's table" true
+  Bench.claim "matrix matches the paper's table"
     (List.for_all2
        (fun row i -> List.for_all2 (fun e j -> m.(i).(j) = e) row (List.init 5 Fun.id) |> fun l -> l)
        expected (List.init 5 Fun.id))
@@ -226,14 +225,14 @@ let fig4_t_bar =
   Traceset.add Action.[ Start 1; Write ("x", 1) ] fig2_original_ts
 
 let e6 () =
-  hr "E6: Figure 4 (de-permutation of prefixes)";
+  Bench.section "E6: Figure 4 (de-permutation of prefixes)";
   List.iter
     (fun n ->
       let t = Safeopt_core.Reorder.depermute_prefix fig4_f fig4_t' n in
       Fmt.pr "  n=%d: %a  in T-bar: %b@." n Trace.pp t
         (Traceset.mem t fig4_t_bar))
     [ 4; 3; 2; 1; 0 ];
-  claim "f de-permutes t' into T-bar" true
+  Bench.claim "f de-permutes t' into T-bar"
     (Safeopt_core.Reorder.de_permutes vol0 fig4_f fig4_t' ~mem:(fun t ->
          Traceset.mem t fig4_t_bar))
 
@@ -268,7 +267,7 @@ let fig5_i' =
 let fig5_vol = Location.Volatile.of_list [ "v" ]
 
 let e7 () =
-  hr "E7: Figure 5 (unelimination construction)";
+  Bench.section "E7: Figure 5 (unelimination construction)";
   match
     Safeopt_core.Unelimination.construct_from_traceset fig5_vol
       ~original:fig5_original_ts ~universe:[ 0; 1 ] fig5_i'
@@ -277,13 +276,13 @@ let e7 () =
   | Some { Safeopt_core.Unelimination.wild; matching } ->
       Fmt.pr "  I' = %a@." Interleaving.pp fig5_i';
       Fmt.pr "  I  = %a@." Interleaving.Wild.pp wild;
-      claim "f maps index 2 to position 6 (paper's example)" true
+      Bench.claim "f maps index 2 to position 6 (paper's example)"
         (matching.(2) = 6);
-      claim "all four unelimination clauses hold" true
+      Bench.claim "all four unelimination clauses hold"
         (Safeopt_core.Unelimination.is_unelimination_function fig5_vol
            ~transformed:fig5_i' ~wild ~f:matching);
       let inst = Interleaving.Wild.instance wild in
-      claim "the instance is an execution of T with the same behaviour" true
+      Bench.claim "the instance is an execution of T with the same behaviour"
         (Interleaving.is_execution_of fig5_original_ts inst
         && Behaviour.equal
              (Interleaving.behaviour inst)
@@ -294,13 +293,13 @@ let e7 () =
 (* ------------------------------------------------------------------ *)
 
 let e8 () =
-  hr "E8: section 5 out-of-thin-air program";
+  Bench.section "E8: section 5 out-of-thin-air program";
   let p = Litmus.program Corpus.oota in
   let universe = [ 0; 42 ] in
   let ts = Denote.traceset ~universe ~max_len:8 p in
-  claim "no trace is an origin for 42" true
+  Bench.claim "no trace is an origin for 42"
     (not (Safeopt_core.Origin.traceset_has_origin 42 ts));
-  claim "no bounded execution mentions 42 (Lemma 3)" true
+  Bench.claim "no bounded execution mentions 42 (Lemma 3)"
     (Safeopt_core.Origin.check_lemma3 42 ts ~max_steps:2_000_000 = Ok ());
   let reachable =
     Safeopt_opt.Transform.reachable ~max_programs:500
@@ -308,7 +307,7 @@ let e8 () =
       p
   in
   Fmt.pr "  programs reachable via the rules: %d@." (List.length reachable);
-  claim "none can output 42 (Theorem 5)" true
+  Bench.claim "none can output 42 (Theorem 5)"
     (List.for_all (fun q -> not (Interp.can_output q 42)) reachable)
 
 (* ------------------------------------------------------------------ *)
@@ -326,8 +325,8 @@ let e9_check () =
     ~transformed:(Denote.traceset ~universe ~max_len:12 e9_trans)
 
 let e9 () =
-  hr "E9: section 4 traceset elimination example";
-  claim "x:=1;print 1;lock;x:=1;unlock eliminates the long program" true
+  Bench.section "E9: section 4 traceset elimination example";
+  Bench.claim "x:=1;print 1;lock;x:=1;unlock eliminates the long program"
     (e9_check ())
 
 (* ------------------------------------------------------------------ *)
@@ -347,7 +346,7 @@ let e10_sweep () =
     Corpus.all
 
 let e10 () =
-  hr "E10: Theorems 1-4 sweep (all corpus programs x all rules)";
+  Bench.section "E10: Theorems 1-4 sweep (all corpus programs x all rules)";
   let total =
     List.fold_left
       (fun acc t ->
@@ -358,11 +357,12 @@ let e10 () =
       0 Corpus.all
   in
   Fmt.pr "  rule applications checked: %d@." total;
-  claim "every safe-rule application preserves the DRF guarantee" true
+  Bench.claim "every safe-rule application preserves the DRF guarantee"
     (e10_sweep ())
 
 let e11 () =
-  hr "E11: Theorem 5 sweep (no rule chain manufactures a fresh constant)";
+  Bench.section
+    "E11: Theorem 5 sweep (no rule chain manufactures a fresh constant)";
   let fresh_value = 23 in
   let ok =
     List.for_all
@@ -375,14 +375,14 @@ let e11 () =
           |> List.for_all (fun q -> not (Interp.can_output q fresh_value)))
       Corpus.all
   in
-  claim "23 never appears out of thin air across the corpus" true ok
+  Bench.claim "23 never appears out of thin air across the corpus" ok
 
 (* ------------------------------------------------------------------ *)
 (* E12: TSO                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let e12 () =
-  hr "E12: section 8 — TSO explained by the transformations";
+  Bench.section "E12: section 8 — TSO explained by the transformations";
   Fmt.pr "  %-18s %-24s %-10s %s@." "test" "weak behaviours" "explained"
     "drf";
   List.iter
@@ -403,7 +403,7 @@ let e12 () =
       Corpus.fig3_a;
       Corpus.dekker_volatile;
     ];
-  claim "SB exhibits exactly the 0,0 weakness" true
+  Bench.claim "SB exhibits exactly the 0,0 weakness"
     (Behaviour.Set.equal
        (Safeopt_tso.Machine.weak_behaviours (Litmus.program Corpus.sb))
        (Behaviour.Set.singleton [ 0; 0 ]))
@@ -413,7 +413,7 @@ let e12 () =
 (* ------------------------------------------------------------------ *)
 
 let e13 () =
-  hr "E13: PSO — per-location store buffers (extension)";
+  Bench.section "E13: PSO — per-location store buffers (extension)";
   Fmt.pr "  %-14s %-16s %-18s %s@." "test" "pso-weak" "beyond-tso" "explained";
   List.iter
     (fun t ->
@@ -426,10 +426,10 @@ let e13 () =
         (Fmt.str "%a" Behaviour.Set.pp beyond)
         expl)
     [ Corpus.sb; Corpus.mp; Corpus.lb; Corpus.corr; Corpus.mp_volatile ];
-  claim "PSO weakens MP (write-write reordering), beyond TSO" true
+  Bench.claim "PSO weakens MP (write-write reordering), beyond TSO"
     (Behaviour.Set.mem [ 0 ]
        (Safeopt_tso.Pso.weak_beyond_tso (Litmus.program Corpus.mp)));
-  claim "MP's PSO weakness is explained by R-WW (+R-WR, E-RAW)" true
+  Bench.claim "MP's PSO weakness is explained by R-WW (+R-WR, E-RAW)"
     (let _, _, e =
        Safeopt_tso.Pso.explained_by_transformations (Litmus.program Corpus.mp)
      in
@@ -440,7 +440,8 @@ let e13 () =
 (* ------------------------------------------------------------------ *)
 
 let e14 () =
-  hr "E14: fence inference (DRF enforcement makes programs SC-on-TSO)";
+  Bench.section
+    "E14: fence inference (DRF enforcement makes programs SC-on-TSO)";
   Fmt.pr "  %-14s %-20s %s@." "test" "promoted" "robust after";
   List.iter
     (fun t ->
@@ -451,7 +452,7 @@ let e14 () =
          else String.concat ", " promoted)
         (Safeopt_tso.Robustness.is_robust p'))
     [ Corpus.sb; Corpus.mp; Corpus.lb; Corpus.mp_locked ];
-  claim "every enforced corpus program is TSO-robust" true
+  Bench.claim "every enforced corpus program is TSO-robust"
     (List.for_all
        (fun t ->
          let p', _ = Safeopt_tso.Robustness.enforce (Litmus.program t) in
@@ -499,7 +500,7 @@ let writer_reader_program n_threads =
   }
 
 let p1 () =
-  hr "P1: scaling of exhaustive enumeration";
+  Bench.section "P1: scaling of exhaustive enumeration";
   Fmt.pr "  %-8s %-12s %-14s %-12s@." "threads" "states" "behaviours" "drf";
   List.iter
     (fun n ->
@@ -522,7 +523,7 @@ let private_work_program n k =
   }
 
 let p2 () =
-  hr "P2: partial-order reduction ablation";
+  Bench.section "P2: partial-order reduction ablation";
   Fmt.pr "  %-20s %-14s %-12s %-10s@." "program" "states (full)" "with POR"
     "reduction";
   List.iter
@@ -533,7 +534,7 @@ let p2 () =
       Fmt.pr "  %dt x %d private     %-14d %-12d %.1fx@." n k full por
         (float_of_int full /. float_of_int (max 1 por)))
     [ (2, 2); (2, 4); (3, 2); (3, 3) ];
-  claim "POR preserves behaviours on the ablation programs" true
+  Bench.claim "POR preserves behaviours on the ablation programs"
     (List.for_all
        (fun (n, k) ->
          let p = private_work_program n k in
@@ -567,38 +568,19 @@ let time f =
   let r = f () in
   (r, Clock.elapsed t0)
 
-(* Benchmark JSON must never carry NaN / infinity (division by a zero
-   wall): refuse to emit the file instead of publishing garbage. *)
-let rate_or_die ~what num den =
-  let r = num /. den in
-  if den <= 0. || not (Float.is_finite r) then begin
-    Fmt.epr
-      "bench: refusing to emit %s: non-finite rate (%f / %f); the workload \
-       completed too fast to time@."
-      what num den;
-    exit 1
-  end;
-  r
-
 (* Per-phase wall-time breakdowns for the BENCH_* files: the benchmark
    runs under a Memory tracer sink (entry-point spans only, a few
    events per exploration — negligible next to the workloads), and the
    stopped event buffer folds into a {"phase": {count, wall_s}} object
    via the same aggregation [drfopt report] uses. *)
-module Obs = Safeopt_obs
-
 let phases_json events =
-  let t = Obs.Report.aggregate events in
-  let rows =
-    List.map
-      (fun (name, count, wall) ->
-        Printf.sprintf "    %S: {\"count\": %d, \"wall_s\": %.6f}" name count
-          wall)
-      (Obs.Report.phase_walls t)
-  in
-  match rows with
-  | [] -> "{}"
-  | _ -> "{\n" ^ String.concat ",\n" rows ^ "\n  }"
+  Json.Obj
+    (List.map
+       (fun (name, count, wall) ->
+         ( name,
+           Json.Obj [ ("count", Json.Int count); ("wall_s", Json.Float wall) ]
+         ))
+       (Obs.Report.phase_walls (Obs.Report.aggregate events)))
 
 (* [quick] runs a quarter of the reps — the CI smoke mode behind
    `drfopt bench diff`.  The fixed pre-arena anchor walls are scaled by
@@ -606,10 +588,11 @@ let phases_json events =
    comparable; units_per_sec is reps-independent either way, which is
    what `bench diff` compares a quick run against the committed full
    run on. *)
-let explore_bench ?(quick = false) () =
-  if quick then
-    hr "P3: exploration engine (quick smoke mode) -> BENCH_explore.json"
-  else hr "P3: exploration engine on the litmus corpus -> BENCH_explore.json";
+let explore_bench ~quick =
+  Bench.section
+    (if quick then
+       "P3: exploration engine (quick smoke mode) -> BENCH_explore.json"
+     else "P3: exploration engine on the litmus corpus -> BENCH_explore.json");
   Obs.Tracer.start Obs.Tracer.Memory;
   let programs = List.map Litmus.program Corpus.all in
   let reps = if quick then 5 else 20 in
@@ -653,88 +636,76 @@ let explore_bench ?(quick = false) () =
   let rows =
     List.map
       (fun (name, (total, wall)) ->
-        let base_wall, _ = List.assoc name baseline_pre_arena in
-        let base_wall = scale_anchor base_wall in
-        let speedup =
-          rate_or_die ~what:("BENCH_explore.json " ^ name) base_wall wall
+        let base_wall =
+          scale_anchor (fst (List.assoc name baseline_pre_arena))
         in
-        let per_sec =
-          rate_or_die
-            ~what:("BENCH_explore.json " ^ name)
-            (float_of_int total) wall
-        in
+        let per_sec = float_of_int total /. wall in
+        let speedup = base_wall /. wall in
         Fmt.pr "  %-18s %-10d %-12.4f %-14.0f %.2fx@." name total wall per_sec
           speedup;
-        Printf.sprintf
-          "    {\"name\": %S, \"total\": %d, \"wall_s\": %.4f, \
-           \"units_per_sec\": %.0f, \"baseline_wall_s\": %.4f, \"speedup\": \
-           %.2f}"
-          name total wall per_sec base_wall speedup)
+        Json.Obj
+          [
+            ("name", Json.String name);
+            ("total", Json.Int total);
+            ("wall_s", Json.Float wall);
+            ("units_per_sec", Json.Float per_sec);
+            ("baseline_wall_s", Json.Float base_wall);
+            ("speedup", Json.Float speedup);
+          ])
       experiments
   in
-  claim "POR-reduced and full behaviour sets identical on the corpus" true
+  Bench.claim "POR-reduced and full behaviour sets identical on the corpus"
     identical;
-  claim "count_states no slower than the pre-packed-arena baseline" true
+  Bench.claim "count_states no slower than the pre-packed-arena baseline"
     (let _, wall = List.assoc "count_states" experiments in
      scale_anchor (fst (List.assoc "count_states" baseline_pre_arena)) /. wall
      >= 0.9);
   let phases = phases_json (Obs.Tracer.stop ()) in
-  let json =
-    String.concat "\n"
-      ([
-         "{";
-         "  \"schema\": \"bench_explore/v2\",";
-         Printf.sprintf "  \"quick\": %b," quick;
-         Printf.sprintf "  \"reps\": %d," reps;
-         Printf.sprintf "  \"programs\": %d," (List.length programs);
-         "  \"experiments\": [";
-       ]
-      @ [ String.concat ",\n" rows ]
-      @ [
-          "  ],";
-          Printf.sprintf "  \"phases\": %s," phases;
-          Printf.sprintf "  \"por_behaviour_sets_identical\": %b," identical;
-          Printf.sprintf "  \"explorer_stats\": %s"
-            (Explorer.stats_to_json stats);
-          "}";
-        ])
-  in
-  let oc = open_out "BENCH_explore.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "  wrote BENCH_explore.json@."
+  let explorer = Obs.Metrics.create ~stripes:1 () in
+  Explorer.publish ~into:explorer stats;
+  Bench.write ~file:"BENCH_explore.json" ~schema:"bench_explore/v3" ~reps
+    ~quick
+    [
+      ("programs", Json.Int (List.length programs));
+      ("experiments", Json.List rows);
+      ("phases", phases);
+      ("explorer_stats", Obs.Metrics.to_json explorer);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* P4: pass-manager pipeline benchmark -> BENCH_pipeline.json          *)
 (* ------------------------------------------------------------------ *)
 
+(* The default safe pipeline: the one the pipeline, refine and rmw
+   benches run. *)
+let pipeline_spec = "constprop;copyprop;cse*;dead-moves;dse;normalise"
+
+let safe_pipeline =
+  match Safeopt_opt.Pipeline.parse pipeline_spec with
+  | Ok s -> s
+  | Error e -> failwith e
+
 (* Run the default safe pipeline with per-pass differential validation
    over the litmus corpus, recording per-program pass work (rewrite
    sites, validation wall time, exploration states).  [quick] trims the
    corpus to its first few programs — the CI smoke mode. *)
-let pipeline_bench ?(quick = false) () =
+let pipeline_bench ~quick =
   let open Safeopt_opt in
-  if quick then
-    hr "P4: pass-manager pipeline (quick smoke mode) -> BENCH_pipeline.json"
-  else hr "P4: pass-manager pipeline over the litmus corpus -> \
-           BENCH_pipeline.json";
+  Bench.section
+    (if quick then
+       "P4: pass-manager pipeline (quick smoke mode) -> BENCH_pipeline.json"
+     else "P4: pass-manager pipeline over the litmus corpus -> \
+           BENCH_pipeline.json");
   Obs.Tracer.start Obs.Tracer.Memory;
   let corpus =
     if quick then List.filteri (fun i _ -> i < 4) Corpus.all else Corpus.all
-  in
-  let spec =
-    match Pipeline.parse "constprop;copyprop;cse*;dead-moves;dse;normalise"
-    with
-    | Ok s -> s
-    | Error e -> failwith e
   in
   let t0 = Clock.now () in
   let rows =
     List.map
       (fun (l : Litmus.t) ->
         let p = Litmus.program l in
-        let o = Pipeline.run ~validate_each:true spec p in
+        let o = Pipeline.run ~validate_each:true safe_pipeline p in
         let sites =
           List.fold_left
             (fun n ps -> n + List.length ps.Pipeline.ps_sites)
@@ -755,40 +726,29 @@ let pipeline_bench ?(quick = false) () =
           l.Litmus.name sites states (vwall *. 1000.)
           (if rejected then "  REJECTED" else "");
         ( rejected,
-          Printf.sprintf
-            "    {\"name\": %S, \"sites\": %d, \"validation_states\": %d, \
-             \"validation_wall_s\": %.6f, \"rejected\": %b}"
-            l.Litmus.name sites states vwall rejected ))
+          Json.Obj
+            [
+              ("name", Json.String l.Litmus.name);
+              ("sites", Json.Int sites);
+              ("validation_states", Json.Int states);
+              ("validation_wall_s", Json.Float vwall);
+              ("rejected", Json.Bool rejected);
+            ] ))
       corpus
   in
   let wall = Clock.elapsed t0 in
   let phases = phases_json (Obs.Tracer.stop ()) in
-  let none_rejected = List.for_all (fun (r, _) -> not r) rows in
-  claim "no safe pipeline rejected on the corpus" true none_rejected;
-  let json =
-    String.concat "\n"
-      ([
-         "{";
-         "  \"schema\": \"bench_pipeline/v1\",";
-         Printf.sprintf "  \"quick\": %b," quick;
-         "  \"pipeline\": \"constprop;copyprop;cse*;dead-moves;dse;normalise\",";
-         Printf.sprintf "  \"programs\": %d," (List.length corpus);
-         Printf.sprintf "  \"wall_s\": %.4f," wall;
-         Printf.sprintf "  \"phases\": %s," phases;
-         "  \"per_program\": [";
-       ]
-      @ [ String.concat ",\n" (List.map snd rows) ]
-      @ [
-          "  ],";
-          Printf.sprintf "  \"all_validated\": %b" none_rejected;
-          "}";
-        ])
-  in
-  let oc = open_out "BENCH_pipeline.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "  wrote BENCH_pipeline.json@."
+  Bench.claim "no safe pipeline rejected on the corpus"
+    (List.for_all (fun (r, _) -> not r) rows);
+  Bench.write ~file:"BENCH_pipeline.json" ~schema:"bench_pipeline/v2" ~reps:1
+    ~quick
+    [
+      ("pipeline", Json.String pipeline_spec);
+      ("programs", Json.Int (List.length corpus));
+      ("wall_s", Json.Float wall);
+      ("phases", phases);
+      ("per_program", Json.List (List.map snd rows));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* P5: domain-parallel exploration -> BENCH_parallel.json              *)
@@ -798,19 +758,14 @@ let pipeline_bench ?(quick = false) () =
    one shared pool of work-stealing workers, recording wall-clock
    speedups, steal counts, and state-visit parity.  Every parallel
    total is compared against the sequential one, and the acceptance
-   criteria are re-checked explicitly: parallel behaviour sets must be
-   identical to the sequential ones program by program, and parallel
-   state counts (with the reduction on) must equal sequential ones
-   exactly — a parity failure exits nonzero so CI fails.  [quick]
-   trims the repetitions — the CI smoke mode.
+   criteria are claims: parallel behaviour sets must be identical to
+   the sequential ones program by program, and parallel state counts
+   (with the reduction on) must equal sequential ones exactly.
+   [quick] trims the repetitions — the CI smoke mode.
 
-   Honesty: speedup is bounded by the host's core count.  The JSON
-   records both the requested and the effective parallelism, and on a
-   host with fewer than 2 cores it carries ["degraded": true] — the
-   speedup figures of such a run measure scheduling overhead, not
-   scaling, and trajectory tooling must not read them as regressions.
-   The headline ">1x" claim is only made when the host can express
-   it.
+   Speedup is bounded by the host's core count, so the headline ">1x"
+   claim is gated on two cores: on a one-core host it is recorded as
+   skipped, and the host block of the file says why.
 
    Every figure and parity check above that explores one program on
    the pool runs the work-stealing engine unconditionally
@@ -820,10 +775,9 @@ let pipeline_bench ?(quick = false) () =
    [quick] two larger ones up to the 8-thread refine-scaling program,
    sequentially, on the stealing engine, and through the pooled entry
    point, which runs the sequential engine first and escalates past
-   [Explorer.steal_after] states.  Gated: the pooled call must use the
+   [Explorer.steal_after] states.  Claimed: the pooled call uses the
    sequential engine below [steal_after] and the stealing engine above
    it, with the jobs-1 count either way. *)
-
 (* n threads, each taking a lock around a read and a write of one
    shared counter and printing what it read. *)
 let locked_counter_program n =
@@ -919,17 +873,15 @@ let crossover_sweep ~quick ~pool =
       pt)
     points
 
-let parallel_bench ?(quick = false) ~jobs () =
+let parallel_bench ~quick ~jobs =
   let jobs_requested = Par.resolve_jobs jobs in
-  hr "P5: work-stealing parallel exploration -> BENCH_parallel.json";
-  let host_cores = Domain.recommended_domain_count () in
-  let jobs_effective = min jobs_requested host_cores in
-  let degraded = host_cores < 2 in
+  Bench.section
+    "P5: work-stealing parallel exploration -> BENCH_parallel.json";
   let reps = if quick then 2 else 8 in
-  Fmt.pr "  %d domains requested (%d effective), %d cores on this host, %d \
-          reps%s@."
-    jobs_requested jobs_effective host_cores reps
-    (if degraded then " [degraded: single-core host]" else "");
+  Fmt.pr "  %d domains requested, %d cores on this host, %d reps@."
+    jobs_requested
+    (Domain.recommended_domain_count ())
+    reps;
   let programs = List.map Litmus.program Corpus.all in
   let big = [ writer_reader_program 3; private_work_program 3 3 ] in
   let all = programs @ big in
@@ -990,17 +942,19 @@ let parallel_bench ?(quick = false) ~jobs () =
       let rows =
         List.map
           (fun (name, rseq, wseq, rpar, wpar) ->
-            let speedup =
-              rate_or_die ~what:("BENCH_parallel.json " ^ name) wseq wpar
-            in
+            let speedup = wseq /. wpar in
             Fmt.pr "  %-18s %-10d %-12.4f %-12.4f %.2fx@." name rseq wseq wpar
               speedup;
             ( speedup,
-              Printf.sprintf
-                "    {\"name\": %S, \"total\": %d, \"seq_wall_s\": %.4f, \
-                 \"par_wall_s\": %.4f, \"speedup\": %.2f, \"totals_equal\": \
-                 %b}"
-                name rseq wseq wpar speedup (rseq = rpar) ))
+              Json.Obj
+                [
+                  ("name", Json.String name);
+                  ("total", Json.Int rseq);
+                  ("seq_wall_s", Json.Float wseq);
+                  ("par_wall_s", Json.Float wpar);
+                  ("speedup", Json.Float speedup);
+                  ("totals_equal", Json.Bool (rseq = rpar));
+                ] ))
           experiments
       in
       let totals_equal =
@@ -1023,7 +977,6 @@ let parallel_bench ?(quick = false) ~jobs () =
             Interp.count_states p = par_count_states ~stats:pstats ~pool p)
           all
       in
-      let stole = pstats.Explorer.domains >= 2 in
       Fmt.pr "  steals: %d, starvation waits: %d (reduced corpus pass)@."
         pstats.Explorer.steals pstats.Explorer.lock_waits;
       (* Per-jobs scaling curve on the count_states workload: one rep
@@ -1046,22 +999,21 @@ let parallel_bench ?(quick = false) ~jobs () =
                         (fun p -> ignore (par_full_count_states ~pool:pl p))
                         all)
                 in
-                let sp =
-                  rate_or_die
-                    ~what:
-                      (Printf.sprintf "BENCH_parallel.json scaling jobs %d" j)
-                    w1 wj
-                in
-                Fmt.pr "  scaling: jobs %d -> %.4f s (%.2fx)@." j wj sp;
-                Printf.sprintf
-                  "    {\"jobs\": %d, \"wall_s\": %.4f, \"speedup\": %.2f}" j
-                  wj sp))
+                Fmt.pr "  scaling: jobs %d -> %.4f s (%.2fx)@." j wj
+                  (w1 /. wj);
+                Json.Obj
+                  [
+                    ("jobs", Json.Int j);
+                    ("wall_s", Json.Float wj);
+                    ("speedup", Json.Float (w1 /. wj));
+                  ]))
           curve_points
       in
-      claim "parallel totals equal sequential totals" true totals_equal;
-      claim "parallel and sequential behaviour sets identical" true identical;
-      claim "reduced state counts identical across jobs" true states_parity;
-      claim "parity checks ran the work-stealing engine" true stole;
+      Bench.claim "parallel totals equal sequential totals" totals_equal;
+      Bench.claim "parallel and sequential behaviour sets identical" identical;
+      Bench.claim "reduced state counts identical across jobs" states_parity;
+      Bench.claim "parity checks ran the work-stealing engine"
+        (pstats.Explorer.domains >= 2);
       Fmt.pr
         "  crossover (reduced count_states, best of 3; steal_after = %d):@."
         Explorer.steal_after;
@@ -1071,152 +1023,78 @@ let parallel_bench ?(quick = false) ~jobs () =
       let small, large =
         List.partition (fun pt -> pt.cx_states <= Explorer.steal_after) sweep
       in
-      let sweep_counts_equal =
-        List.for_all (fun pt -> pt.cx_count_equal) sweep
-      in
-      let seq_below = List.for_all (fun pt -> not pt.cx_escalated) small in
-      let steal_above =
-        jobs_requested < 2 || List.for_all (fun pt -> pt.cx_escalated) large
-      in
-      claim "pooled counts equal jobs 1 across the sweep" true
-        sweep_counts_equal;
-      claim "pooled calls below steal_after ran the sequential engine" true
-        seq_below;
-      claim "pooled calls above steal_after ran the stealing engine" true
-        steal_above;
-      let engine_choice_ok =
-        sweep_counts_equal && seq_below && steal_above
-      in
+      Bench.claim "pooled counts equal jobs 1 across the sweep"
+        (List.for_all (fun pt -> pt.cx_count_equal) sweep);
+      Bench.claim "pooled calls below steal_after ran the sequential engine"
+        (List.for_all (fun pt -> not pt.cx_escalated) small);
+      Bench.claim "pooled calls above steal_after ran the stealing engine"
+        (jobs_requested < 2 || List.for_all (fun pt -> pt.cx_escalated) large);
+      Bench.claim ~gate:(Cores 2)
+        "work-stealing speedup > 1.0x on at least two experiments"
+        (List.length (List.filter (fun (sp, _) -> sp > 1.0) rows) >= 2);
       let crossover_rows =
         List.map
           (fun pt ->
-            Printf.sprintf
-              "    {\"name\": %S, \"states\": %d, \"seq_wall_s\": %.6f, \
-               \"steal_wall_s\": %.6f, \"pooled_wall_s\": %.6f, \
-               \"seq_over_steal\": %.2f, \"pooled_engine\": \"%s\"}"
-              pt.cx_name pt.cx_states pt.cx_seq_wall pt.cx_steal_wall
-              pt.cx_pooled_wall
-              (pt.cx_seq_wall /. pt.cx_steal_wall)
-              (if pt.cx_escalated then "seq→par" else "seq"))
+            Json.Obj
+              [
+                ("name", Json.String pt.cx_name);
+                ("states", Json.Int pt.cx_states);
+                ("seq_wall_s", Json.Float pt.cx_seq_wall);
+                ("steal_wall_s", Json.Float pt.cx_steal_wall);
+                ("pooled_wall_s", Json.Float pt.cx_pooled_wall);
+                ( "seq_over_steal",
+                  Json.Float (pt.cx_seq_wall /. pt.cx_steal_wall) );
+                ( "pooled_engine",
+                  Json.String (if pt.cx_escalated then "seq→par" else "seq")
+                );
+              ])
           sweep
       in
-      if not degraded then begin
-        let above =
-          List.length (List.filter (fun (sp, _) -> sp > 1.0) rows)
-        in
-        claim "work-stealing speedup > 1.0x on at least two experiments" true
-          (above >= 2)
-      end
-      else
-        Fmt.pr
-          "  (headline speedup claim skipped: host has %d core(s), scaling \
-           cannot be expressed)@."
-          host_cores;
-      let json =
-        String.concat "\n"
-          ([
-             "{";
-             "  \"schema\": \"bench_parallel/v3\",";
-             Printf.sprintf "  \"quick\": %b," quick;
-             Printf.sprintf "  \"jobs_requested\": %d," jobs_requested;
-             Printf.sprintf "  \"jobs_effective\": %d," jobs_effective;
-             Printf.sprintf "  \"host_cores\": %d," host_cores;
-             Printf.sprintf "  \"degraded\": %b," degraded;
-             Printf.sprintf "  \"reps\": %d," reps;
-             Printf.sprintf "  \"programs\": %d," (List.length all);
-             Printf.sprintf "  \"steals\": %d," pstats.Explorer.steals;
-             Printf.sprintf "  \"lock_waits\": %d," pstats.Explorer.lock_waits;
-             "  \"experiments\": [";
-           ]
-          @ [ String.concat ",\n" (List.map snd rows) ]
-          @ [ "  ],"; "  \"scaling\": [" ]
-          @ [ String.concat ",\n" curve ]
-          @ [
-              "  ],";
-              Printf.sprintf "  \"steal_after\": %d," Explorer.steal_after;
-              "  \"crossover\": [";
-            ]
-          @ [ String.concat ",\n" crossover_rows ]
-          @ [
-              "  ],";
-              Printf.sprintf "  \"engine_choice_ok\": %b," engine_choice_ok;
-              Printf.sprintf "  \"parity_stole\": %b," stole;
-              Printf.sprintf "  \"parallel_totals_equal\": %b," totals_equal;
-              Printf.sprintf "  \"parallel_states_identical\": %b,"
-                states_parity;
-              Printf.sprintf "  \"parallel_behaviour_sets_identical\": %b"
-                identical;
-              "}";
-            ])
-      in
-      let oc = open_out "BENCH_parallel.json" in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      Fmt.pr "  wrote BENCH_parallel.json@.";
-      if not (totals_equal && identical && states_parity && stole) then begin
-        Fmt.epr
-          "bench: parallel parity broken (totals_equal=%b identical=%b \
-           states_parity=%b stole=%b)@."
-          totals_equal identical states_parity stole;
-        exit 1
-      end;
-      if not engine_choice_ok then begin
-        Fmt.epr
-          "bench: engine choice broken (counts_equal=%b seq_below=%b \
-           steal_above=%b)@."
-          sweep_counts_equal seq_below steal_above;
-        exit 1
-      end)
+      Bench.write ~file:"BENCH_parallel.json" ~schema:"bench_parallel/v4" ~reps
+        ~quick
+        [
+          ("jobs_requested", Json.Int jobs_requested);
+          ("programs", Json.Int (List.length all));
+          ("steals", Json.Int pstats.Explorer.steals);
+          ("lock_waits", Json.Int pstats.Explorer.lock_waits);
+          ("experiments", Json.List (List.map snd rows));
+          ("scaling", Json.List curve);
+          ("steal_after", Json.Int Explorer.steal_after);
+          ("crossover", Json.List crossover_rows);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* P6: thread-local refinement validator -> BENCH_refine.json          *)
 (* ------------------------------------------------------------------ *)
 
-(* Two halves, both feeding BENCH_refine.json:
+(* The validator-ladder differential the refine and rmw benches share:
+   the default safe pipeline over [tests], per-pass-validated under
+   [Auto] and again under [Exhaustive], must agree pass for pass (the
+   refine rung escalates instead of rejecting, so this agreement is
+   exact, not approximate).  The metrics registry is enabled only
+   around the first [Auto] sweep, so the validate.* counters give a
+   clean fast-path count.  Each wall is the best of [reps] sweeps. *)
+type ladder = {
+  agreements : (string * string * bool) list;  (** test, auto verdict, agree *)
+  outcomes : int;
+  static_hits : int;
+  refine_hits : int;
+  refine_misses : int;
+  exhaustive_runs : int;
+  auto_wall : float;
+  exh_wall : float;
+}
 
-   1. Differential over the litmus corpus: the default safe pipeline
-      with per-pass validation under [Auto] must agree, pass for pass,
-      with the same run under [Exhaustive] (the refine rung escalates
-      instead of rejecting, so this agreement is exact, not
-      approximate).  The metrics registry is enabled only around the
-      [Auto] sweep, so the validate.* counters give a clean fast-path
-      hit rate; the acceptance criterion is that a majority of
-      validations are decided without enumerating one interleaving.
-
-   2. Scaling: validate cse on [redundant_read_program n] for growing
-      n, by refinement and by exhaustive enumeration under a state
-      budget.  At n = 8 the exhaustive validator must exceed the
-      budget while refinement still answers (and its per-thread
-      verdicts carry completeness, so the answer is sound).
-
-   [quick] trims the corpus sweep — the smoke mode.  Every claim is a
-   gate: the result is [false] when any claim mismatches. *)
-let refine_bench ?(quick = false) () =
+let ladder_differential ~reps tests =
   let open Safeopt_opt in
-  hr "P6: thread-local refinement validator -> BENCH_refine.json";
-  let all_hold = ref true in
-  let claim name expected actual =
-    claim name expected actual;
-    if expected <> actual then all_hold := false
-  in
-  let corpus =
-    if quick then List.filteri (fun i _ -> i < 6) Corpus.all else Corpus.all
-  in
-  let spec =
-    match Pipeline.parse "constprop;copyprop;cse*;dead-moves;dse;normalise"
-    with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
   let sweep validator =
     List.map
       (fun (l : Litmus.t) ->
-        (l.Litmus.name, Pipeline.run ~validate_each:true ~validator spec
-                          (Litmus.program l)))
-      corpus
+        ( l.Litmus.name,
+          Pipeline.run ~validate_each:true ~validator safe_pipeline
+            (Litmus.program l) ))
+      tests
   in
-  (* metrics on only around the Auto sweep: clean fast-path counters *)
   Obs.Metrics.reset_global ();
   Obs.Metrics.set_enabled true;
   let auto_runs, auto_wall = time (fun () -> sweep Validate.Auto) in
@@ -1224,19 +1102,9 @@ let refine_bench ?(quick = false) () =
   let counter n =
     Option.value ~default:0 Obs.Metrics.(find_counter global n)
   in
-  let outcomes = counter "validate.outcomes" in
-  let static_hits = counter "validate.static_hits" in
-  let refine_hits = counter "validate.refine_hits" in
-  let refine_misses = counter "validate.refine_misses" in
-  let exhaustive_runs = counter "validate.exhaustive_runs" in
   let exh_runs, exh_wall = time (fun () -> sweep Validate.Exhaustive) in
-  (* A sweep takes milliseconds, too short for one sample to compare:
-     each wall is the best of [sweep_reps] sweeps, the first auto sweep
-     (the only one with metrics on) included. *)
-  let sweep_reps = 3 in
   let best_of first validator =
-    List.init (sweep_reps - 1) (fun _ ->
-        snd (time (fun () -> sweep validator)))
+    List.init (reps - 1) (fun _ -> snd (time (fun () -> sweep validator)))
     |> List.fold_left Float.min first
   in
   let auto_wall = best_of auto_wall Validate.Auto in
@@ -1246,36 +1114,87 @@ let refine_bench ?(quick = false) () =
     | None -> "ok"
     | Some (pass, _) -> "REJECTED at " ^ pass
   in
-  let agreements =
-    List.map2
-      (fun (name, (a : Pipeline.outcome)) (_, (e : Pipeline.outcome)) ->
-        let agree =
-          verdict a = verdict e && Ast.equal_program a.final e.final
-        in
-        (name, verdict a, agree))
-      auto_runs exh_runs
+  let l =
+    {
+      agreements =
+        List.map2
+          (fun (name, (a : Pipeline.outcome)) (_, (e : Pipeline.outcome)) ->
+            ( name,
+              verdict a,
+              verdict a = verdict e && Ast.equal_program a.final e.final ))
+          auto_runs exh_runs;
+      outcomes = counter "validate.outcomes";
+      static_hits = counter "validate.static_hits";
+      refine_hits = counter "validate.refine_hits";
+      refine_misses = counter "validate.refine_misses";
+      exhaustive_runs = counter "validate.exhaustive_runs";
+      auto_wall;
+      exh_wall;
+    }
   in
-  let all_agree = List.for_all (fun (_, _, a) -> a) agreements in
   List.iter
     (fun (name, v, agree) ->
       Fmt.pr "  %-24s auto: %-10s agree with exhaustive: %b@." name v agree)
-    agreements;
-  let decided_fast = static_hits + refine_hits in
+    l.agreements;
   Fmt.pr
     "  validations: %d  static: %d  refine: %d  escalated: %d  exhaustive \
      runs: %d@."
-    outcomes static_hits refine_hits refine_misses exhaustive_runs;
+    l.outcomes l.static_hits l.refine_hits l.refine_misses l.exhaustive_runs;
   Fmt.pr "  auto sweep: %.2f ms; exhaustive sweep: %.2f ms@."
-    (auto_wall *. 1000.) (exh_wall *. 1000.);
-  claim "auto and exhaustive pipeline verdicts agree on the corpus" true
-    all_agree;
-  claim "majority of validations decided without interleavings" true
-    (2 * decided_fast > outcomes);
+    (l.auto_wall *. 1000.) (l.exh_wall *. 1000.);
+  l
+
+let all_agree l = List.for_all (fun (_, _, a) -> a) l.agreements
+
+let ladder_fields l =
+  [
+    ("pipeline", Json.String pipeline_spec);
+    ("validations", Json.Int l.outcomes);
+    ("static_hits", Json.Int l.static_hits);
+    ("refine_hits", Json.Int l.refine_hits);
+    ("refine_misses", Json.Int l.refine_misses);
+    ("exhaustive_runs", Json.Int l.exhaustive_runs);
+    ( "fast_path_rate",
+      Json.Float
+        (if l.outcomes = 0 then 0.
+         else
+           float_of_int (l.static_hits + l.refine_hits)
+           /. float_of_int l.outcomes) );
+    ("auto_wall_s", Json.Float l.auto_wall);
+    ("exhaustive_wall_s", Json.Float l.exh_wall);
+  ]
+
+(* Two halves, both feeding BENCH_refine.json:
+
+   1. The ladder differential over the litmus corpus, walls best of 3
+      sweeps (one sweep takes milliseconds, too short to compare).
+      The acceptance criterion is that a majority of validations are
+      decided without enumerating one interleaving.
+
+   2. Scaling: validate cse on [redundant_read_program n] for growing
+      n, by refinement and by exhaustive enumeration under a state
+      budget.  At n = 8 the exhaustive validator must exceed the
+      budget while refinement still answers (and its per-thread
+      verdicts carry completeness, so the answer is sound).
+
+   [quick] trims the corpus sweep — the smoke mode. *)
+let refine_bench ~quick =
+  let open Safeopt_opt in
+  Bench.section "P6: thread-local refinement validator -> BENCH_refine.json";
+  let corpus =
+    if quick then List.filteri (fun i _ -> i < 6) Corpus.all else Corpus.all
+  in
+  let reps = 3 in
+  let l = ladder_differential ~reps corpus in
+  Bench.claim "auto and exhaustive pipeline verdicts agree on the corpus"
+    (all_agree l);
+  Bench.claim "majority of validations decided without interleavings"
+    (2 * (l.static_hits + l.refine_hits) > l.outcomes);
   (* a timing claim needs the whole corpus: the quick sweep is too
      short to compare *)
   if not quick then
-    claim "auto sweep within 2x of the exhaustive sweep" true
-      (auto_wall <= 2. *. exh_wall);
+    Bench.claim "auto sweep within 2x of the exhaustive sweep"
+      (l.auto_wall <= 2. *. l.exh_wall);
   (* scaling: refinement answers where enumeration exceeds its budget *)
   let state_budget = 200_000 in
   Fmt.pr "  %-8s %-14s %-12s %-22s@." "threads" "refine (ms)" "verdict"
@@ -1316,9 +1235,9 @@ let refine_bench ?(quick = false) () =
         (n, safe, rwall, exh, ewall))
       [ 2; 4; 8 ]
   in
-  claim "refinement validates every scaling point" true
+  Bench.claim "refinement validates every scaling point"
     (List.for_all (fun (_, safe, _, _, _) -> safe) scaling);
-  claim "exhaustive exceeds its state budget at 8 threads" true
+  Bench.claim "exhaustive exceeds its state budget at 8 threads"
     (List.exists
        (fun (n, _, _, exh, _) ->
          n = 8 && match exh with `Budget _ -> true | _ -> false)
@@ -1326,58 +1245,40 @@ let refine_bench ?(quick = false) () =
   let scaling_rows =
     List.map
       (fun (n, safe, rwall, exh, ewall) ->
-        Printf.sprintf
-          "    {\"threads\": %d, \"refine_safe\": %b, \"refine_wall_s\": \
-           %.6f, \"exhaustive\": %S, \"exhaustive_wall_s\": %.6f}"
-          n safe rwall
-          (match exh with
-          | `Ok -> "ok"
-          | `Failed -> "failed"
-          | `Budget s -> Printf.sprintf "budget_exceeded:%d" s)
-          ewall)
+        Json.Obj
+          [
+            ("threads", Json.Int n);
+            ("refine_safe", Json.Bool safe);
+            ("refine_wall_s", Json.Float rwall);
+            ( "exhaustive",
+              Json.String
+                (match exh with
+                | `Ok -> "ok"
+                | `Failed -> "failed"
+                | `Budget s -> Printf.sprintf "budget_exceeded:%d" s) );
+            ("exhaustive_wall_s", Json.Float ewall);
+          ])
       scaling
   in
   let corpus_rows =
     List.map
       (fun (name, v, agree) ->
-        Printf.sprintf "    {\"name\": %S, \"verdict\": %S, \"agree\": %b}"
-          name v agree)
-      agreements
+        Json.Obj
+          [
+            ("name", Json.String name);
+            ("verdict", Json.String v);
+            ("agree", Json.Bool agree);
+          ])
+      l.agreements
   in
-  let json =
-    String.concat "\n"
-      ([
-         "{";
-         "  \"schema\": \"bench_refine/v1\",";
-         Printf.sprintf "  \"quick\": %b," quick;
-         "  \"pipeline\": \"constprop;copyprop;cse*;dead-moves;dse;normalise\",";
-         Printf.sprintf "  \"programs\": %d," (List.length corpus);
-         Printf.sprintf "  \"validations\": %d," outcomes;
-         Printf.sprintf "  \"static_hits\": %d," static_hits;
-         Printf.sprintf "  \"refine_hits\": %d," refine_hits;
-         Printf.sprintf "  \"refine_misses\": %d," refine_misses;
-         Printf.sprintf "  \"exhaustive_runs\": %d," exhaustive_runs;
-         Printf.sprintf "  \"fast_path_rate\": %.3f,"
-           (if outcomes = 0 then 0.
-            else float_of_int decided_fast /. float_of_int outcomes);
-         Printf.sprintf "  \"auto_wall_s\": %.4f," auto_wall;
-         Printf.sprintf "  \"exhaustive_wall_s\": %.4f," exh_wall;
-         Printf.sprintf "  \"sweep_reps\": %d," sweep_reps;
-         Printf.sprintf "  \"all_verdicts_agree\": %b," all_agree;
-         Printf.sprintf "  \"state_budget\": %d," state_budget;
-         "  \"corpus\": [";
-       ]
-      @ [ String.concat ",\n" corpus_rows ]
-      @ [ "  ],"; "  \"scaling\": [" ]
-      @ [ String.concat ",\n" scaling_rows ]
-      @ [ "  ]"; "}" ])
-  in
-  let oc = open_out "BENCH_refine.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "  wrote BENCH_refine.json@.";
-  !all_hold
+  Bench.write ~file:"BENCH_refine.json" ~schema:"bench_refine/v2" ~reps ~quick
+    (ladder_fields l
+    @ [
+        ("programs", Json.Int (List.length corpus));
+        ("state_budget", Json.Int state_budget);
+        ("corpus", Json.List corpus_rows);
+        ("scaling", Json.List scaling_rows);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* P7: the lock-free atomic pack -> BENCH_rmw.json                     *)
@@ -1385,12 +1286,11 @@ let refine_bench ?(quick = false) () =
 
 (* The RMW acceptance gates, timed: (1) every lock-free scenario passes
    its exhaustive litmus validation; (2) the store-buffer machines give
-   SB-with-xchg no relaxed outcome (RMWs flush); (3) the default
-   pipeline over the pack, per-pass-validated under [Auto], agrees with
-   [Exhaustive] — atomic threads make the refine rung return Bounded,
-   so the metrics show how often the ladder escalates on this
-   atomic-heavy corpus (contrast BENCH_refine.json's fast-path rate on
-   the full corpus). *)
+   SB-with-xchg no relaxed outcome (RMWs flush); (3) the ladder
+   differential over the pack — atomic threads make the refine rung
+   return Bounded, so the metrics show how often the ladder escalates
+   on this atomic-heavy corpus (contrast BENCH_refine.json's fast-path
+   rate on the full corpus). *)
 let lock_free_pack =
   [
     Corpus.atomic_faa_counter;
@@ -1402,8 +1302,7 @@ let lock_free_pack =
   ]
 
 let rmw_bench () =
-  let open Safeopt_opt in
-  hr "P7: lock-free atomic pack -> BENCH_rmw.json";
+  Bench.section "P7: lock-free atomic pack -> BENCH_rmw.json";
   Fmt.pr "  %-24s %-8s %12s@." "scenario" "litmus" "wall (ms)";
   let walls =
     List.map
@@ -1416,115 +1315,38 @@ let rmw_bench () =
         (l.Litmus.name, ok, wall))
       lock_free_pack
   in
-  claim "every lock-free scenario passes its expectations" true
+  Bench.claim "every lock-free scenario passes its expectations"
     (List.for_all (fun (_, ok, _) -> ok) walls);
   let sb_x = Litmus.program Corpus.atomic_sb_xchg in
-  let tso_flush =
-    Behaviour.Set.is_empty (Safeopt_tso.Machine.weak_behaviours sb_x)
-  in
-  let pso_flush =
-    Behaviour.Set.is_empty (Safeopt_tso.Pso.weak_behaviours sb_x)
-  in
-  claim "SB-with-xchg has no relaxed TSO outcome (buffer flushed)" true
-    tso_flush;
-  claim "nor under PSO (all per-location buffers flushed)" true pso_flush;
-  let spec =
-    match Pipeline.parse "constprop;copyprop;cse*;dead-moves;dse;normalise"
-    with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  let sweep validator =
-    List.map
-      (fun (l : Litmus.t) ->
-        ( l.Litmus.name,
-          Pipeline.run ~validate_each:true ~validator spec
-            (Litmus.program l) ))
-      lock_free_pack
-  in
-  Obs.Metrics.reset_global ();
-  Obs.Metrics.set_enabled true;
-  let auto_runs, auto_wall = time (fun () -> sweep Validate.Auto) in
-  Obs.Metrics.set_enabled false;
-  let counter n =
-    Option.value ~default:0 Obs.Metrics.(find_counter global n)
-  in
-  let outcomes = counter "validate.outcomes" in
-  let static_hits = counter "validate.static_hits" in
-  let refine_hits = counter "validate.refine_hits" in
-  let refine_misses = counter "validate.refine_misses" in
-  let exhaustive_runs = counter "validate.exhaustive_runs" in
-  let exh_runs, exh_wall = time (fun () -> sweep Validate.Exhaustive) in
-  let verdict (o : Pipeline.outcome) =
-    match o.Pipeline.failure with
-    | None -> "ok"
-    | Some (pass, _) -> "REJECTED at " ^ pass
-  in
-  let agreements =
-    List.map2
-      (fun (name, (a : Pipeline.outcome)) (_, (e : Pipeline.outcome)) ->
-        let agree =
-          verdict a = verdict e && Ast.equal_program a.final e.final
-        in
-        (name, verdict a, agree))
-      auto_runs exh_runs
-  in
-  let all_agree = List.for_all (fun (_, _, a) -> a) agreements in
-  List.iter
-    (fun (name, v, agree) ->
-      Fmt.pr "  %-24s auto: %-10s agree with exhaustive: %b@." name v agree)
-    agreements;
-  Fmt.pr
-    "  validations: %d  static: %d  refine: %d  escalated: %d  exhaustive \
-     runs: %d@."
-    outcomes static_hits refine_hits refine_misses exhaustive_runs;
-  Fmt.pr "  auto sweep: %.2f ms; exhaustive sweep: %.2f ms@."
-    (auto_wall *. 1000.) (exh_wall *. 1000.);
-  claim "auto and exhaustive pipeline verdicts agree on the pack" true
-    all_agree;
-  claim "no atomic-bearing rewrite is decided by the refine rung" true
-    (refine_hits = 0 || outcomes > refine_hits);
+  Bench.claim "SB-with-xchg has no relaxed TSO outcome (buffer flushed)"
+    (Behaviour.Set.is_empty (Safeopt_tso.Machine.weak_behaviours sb_x));
+  Bench.claim "nor under PSO (all per-location buffers flushed)"
+    (Behaviour.Set.is_empty (Safeopt_tso.Pso.weak_behaviours sb_x));
+  let l = ladder_differential ~reps:1 lock_free_pack in
+  Bench.claim "auto and exhaustive pipeline verdicts agree on the pack"
+    (all_agree l);
+  Bench.claim "no atomic-bearing rewrite is decided by the refine rung"
+    (l.refine_hits = 0 || l.outcomes > l.refine_hits);
   let scenario_rows =
     List.map2
       (fun (name, ok, wall) (_, v, agree) ->
-        Printf.sprintf
-          "    {\"name\": %S, \"litmus_ok\": %b, \"litmus_wall_s\": %.6f, \
-           \"pipeline_verdict\": %S, \"ladder_agrees\": %b}"
-          name ok wall v agree)
-      walls agreements
+        Json.Obj
+          [
+            ("name", Json.String name);
+            ("litmus_ok", Json.Bool ok);
+            ("litmus_wall_s", Json.Float wall);
+            ("pipeline_verdict", Json.String v);
+            ("ladder_agrees", Json.Bool agree);
+          ])
+      walls l.agreements
   in
-  let json =
-    String.concat "\n"
-      ([
-         "{";
-         "  \"schema\": \"bench_rmw/v1\",";
-         "  \"pipeline\": \"constprop;copyprop;cse*;dead-moves;dse;normalise\",";
-         Printf.sprintf "  \"scenarios\": %d," (List.length lock_free_pack);
-         Printf.sprintf "  \"tso_flush\": %b," tso_flush;
-         Printf.sprintf "  \"pso_flush\": %b," pso_flush;
-         Printf.sprintf "  \"validations\": %d," outcomes;
-         Printf.sprintf "  \"static_hits\": %d," static_hits;
-         Printf.sprintf "  \"refine_hits\": %d," refine_hits;
-         Printf.sprintf "  \"refine_misses\": %d," refine_misses;
-         Printf.sprintf "  \"exhaustive_runs\": %d," exhaustive_runs;
-         Printf.sprintf "  \"fast_path_rate\": %.3f,"
-           (if outcomes = 0 then 0.
-            else
-              float_of_int (static_hits + refine_hits)
-              /. float_of_int outcomes);
-         Printf.sprintf "  \"auto_wall_s\": %.4f," auto_wall;
-         Printf.sprintf "  \"exhaustive_wall_s\": %.4f," exh_wall;
-         Printf.sprintf "  \"all_verdicts_agree\": %b," all_agree;
-         "  \"scenarios_detail\": [";
-       ]
-      @ [ String.concat ",\n" scenario_rows ]
-      @ [ "  ]"; "}" ])
-  in
-  let oc = open_out "BENCH_rmw.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "  wrote BENCH_rmw.json@."
+  Bench.write ~file:"BENCH_rmw.json" ~schema:"bench_rmw/v2" ~reps:1
+    ~quick:false
+    (ladder_fields l
+    @ [
+        ("scenarios", Json.Int (List.length lock_free_pack));
+        ("scenarios_detail", Json.List scenario_rows);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* P8: pass x memory-model portability -> BENCH_portability.json       *)
@@ -1537,9 +1359,10 @@ let rmw_bench () =
    counterexample behaviour must replay from scratch under its model.
    [quick] trims the registry to the four passes that carry the
    asymmetries — the CI smoke mode. *)
-let portability_bench ?(quick = false) () =
+let portability_bench ~quick =
   let open Safeopt_litmus in
-  hr "P8: pass x memory-model portability matrix -> BENCH_portability.json";
+  Bench.section
+    "P8: pass x memory-model portability matrix -> BENCH_portability.json";
   let passes =
     if quick then
       List.filter
@@ -1567,71 +1390,59 @@ let portability_bench ?(quick = false) () =
         | _ -> false)
       m.Portability.passes
   in
-  let unsafe = Portability.unsafe_cells m in
-  let weak_unsafe_replayed =
-    List.for_all
-      (fun ((c : Portability.cell), (u : Portability.unsafe_evidence)) ->
-        Safeopt_model.Memory_model.equal c.Portability.c_model
-          Safeopt_model.Memory_model.Sc
-        || u.Portability.u_replayed)
-      unsafe
-  in
   Fmt.pr "  SC-safe but TSO-unsafe passes: %a@."
     Fmt.(list ~sep:(any ", ") string)
     sc_safe_tso_unsafe;
-  claim "some pass is safe under SC but unsafe under TSO" true
+  Bench.claim "some pass is safe under SC but unsafe under TSO"
     (sc_safe_tso_unsafe <> []);
-  claim "every weak-model unsafe cell's witness replays from scratch" true
-    weak_unsafe_replayed;
+  Bench.claim "every weak-model unsafe cell's witness replays from scratch"
+    (List.for_all
+       (fun ((c : Portability.cell), (u : Portability.unsafe_evidence)) ->
+         Safeopt_model.Memory_model.equal c.Portability.c_model
+           Safeopt_model.Memory_model.Sc
+         || u.Portability.u_replayed)
+       (Portability.unsafe_cells m));
   let cell_rows =
     List.map
       (fun (c : Portability.cell) ->
-        let extra =
+        let evidence =
           match c.Portability.c_verdict with
           | Portability.Unsafe u ->
-              Printf.sprintf ", \"test\": %S, \"behaviour\": %S, \
-                              \"replayed\": %b"
-                u.Portability.u_test
-                (match u.Portability.u_behaviour with
-                | Some b -> Fmt.str "%a" Behaviour.pp b
-                | None -> "")
-                u.Portability.u_replayed
-          | _ -> ""
+              [
+                ("test", Json.String u.Portability.u_test);
+                ( "behaviour",
+                  Json.String
+                    (match u.Portability.u_behaviour with
+                    | Some b -> Fmt.str "%a" Behaviour.pp b
+                    | None -> "") );
+                ("replayed", Json.Bool u.Portability.u_replayed);
+              ]
+          | _ -> []
         in
-        Printf.sprintf
-          "    {\"pass\": %S, \"model\": %S, \"verdict\": %S, \"checked\": \
-           %d%s}"
-          c.Portability.c_pass
-          (Safeopt_model.Memory_model.name c.Portability.c_model)
-          (Portability.verdict_tag c.Portability.c_verdict)
-          c.Portability.c_checked extra)
+        Json.Obj
+          ([
+             ("pass", Json.String c.Portability.c_pass);
+             ( "model",
+               Json.String
+                 (Safeopt_model.Memory_model.name c.Portability.c_model) );
+             ( "verdict",
+               Json.String (Portability.verdict_tag c.Portability.c_verdict) );
+             ("checked", Json.Int c.Portability.c_checked);
+           ]
+          @ evidence))
       m.Portability.cells
   in
-  let json =
-    String.concat "\n"
-      ([
-         "{";
-         "  \"schema\": \"bench_portability/v1\",";
-         Printf.sprintf "  \"quick\": %b," quick;
-         Printf.sprintf "  \"passes\": %d," (List.length m.Portability.passes);
-         Printf.sprintf "  \"models\": %d," (List.length m.Portability.models);
-         Printf.sprintf "  \"tests\": %d," (List.length m.Portability.tests);
-         Printf.sprintf "  \"wall_s\": %.4f," wall;
-         Printf.sprintf "  \"sc_safe_tso_unsafe\": [%s],"
-           (String.concat ", "
-              (List.map (Printf.sprintf "%S") sc_safe_tso_unsafe));
-         Printf.sprintf "  \"weak_unsafe_witnesses_replayed\": %b,"
-           weak_unsafe_replayed;
-         "  \"cells\": [";
-       ]
-      @ [ String.concat ",\n" cell_rows ]
-      @ [ "  ]"; "}" ])
-  in
-  let oc = open_out "BENCH_portability.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "  wrote BENCH_portability.json@."
+  Bench.write ~file:"BENCH_portability.json" ~schema:"bench_portability/v2"
+    ~reps:1 ~quick
+    [
+      ("passes", Json.Int (List.length m.Portability.passes));
+      ("models", Json.Int (List.length m.Portability.models));
+      ("tests", Json.Int (List.length m.Portability.tests));
+      ("wall_s", Json.Float wall);
+      ( "sc_safe_tso_unsafe",
+        Json.List (List.map (fun p -> Json.String p) sc_safe_tso_unsafe) );
+      ("cells", Json.List cell_rows);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* obs-overhead: the disabled-telemetry cost guard                     *)
@@ -1639,8 +1450,8 @@ let portability_bench ?(quick = false) () =
 
 (* The instrumentation contract is that a disabled call site costs one
    flag load and one branch — no closure, no allocation.  This mode
-   pins it three ways and exits 1 on any violation, so CI catches an
-   accidentally-allocating guard:
+   pins it with three claims, so CI catches an accidentally-allocating
+   guard:
      1. [Gc.minor_words] across a million disabled guard hits stays
         below a thousand words (i.e. the loop itself allocates nothing;
         the slack absorbs unrelated runtime noise);
@@ -1650,12 +1461,7 @@ let portability_bench ?(quick = false) () =
         of each other — the instrumented hot loops are within run-to-run
         noise of themselves. *)
 let obs_overhead () =
-  hr "obs-overhead: disabled-telemetry cost guard";
-  let failed = ref false in
-  let check name ok detail =
-    Fmt.pr "  %-58s %s (%s)@." name (if ok then "OK" else "VIOLATION") detail;
-    if not ok then failed := true
-  in
+  Bench.section "obs-overhead: disabled-telemetry cost guard";
   assert (not (Obs.Tracer.enabled ()));
   assert (not (Obs.Metrics.enabled ()));
   assert (not (Obs.Snapshot.enabled ()));
@@ -1669,16 +1475,16 @@ let obs_overhead () =
     if Obs.Snapshot.enabled () then incr sink
   done;
   let dw = Gc.minor_words () -. w0 in
-  check "disabled guards allocate nothing" (dw < 1_000.)
-    (Printf.sprintf "%.0f minor words / %d hits" dw hits);
+  Fmt.pr "  %.0f minor words / %d hits@." dw hits;
+  Bench.claim "disabled guards allocate nothing" (dw < 1_000.);
   (* 2: per-hit cost *)
   let t0 = Clock.now () in
   for _ = 1 to hits do
     if Obs.Tracer.enabled () then incr sink
   done;
   let ns = Clock.elapsed t0 *. 1e9 /. float_of_int hits in
-  check "disabled guard costs < 20 ns" (ns < 20.)
-    (Printf.sprintf "%.2f ns/hit" ns);
+  Fmt.pr "  %.2f ns/hit@." ns;
+  Bench.claim "disabled guard costs < 20 ns" (ns < 20.);
   ignore (Sys.opaque_identity !sink);
   (* 3: macro A/A stability with every guard on the hot paths disabled *)
   let programs = List.map Litmus.program Corpus.all in
@@ -1695,10 +1501,8 @@ let obs_overhead () =
     wb := !wb +. w
   done;
   let ratio = Float.max (!wa /. !wb) (!wb /. !wa) in
-  check "interleaved A/A macro runs within 1.25x" (ratio < 1.25)
-    (Printf.sprintf "%.4fs vs %.4fs, ratio %.3f" !wa !wb ratio);
-  if !failed then exit 1;
-  Fmt.pr "  disabled-telemetry overhead within bounds@."
+  Fmt.pr "  %.4fs vs %.4fs, ratio %.3f@." !wa !wb ratio;
+  Bench.claim "interleaved A/A macro runs within 1.25x" (ratio < 1.25)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timing                                                     *)
@@ -1789,7 +1593,7 @@ let run_bechamel () =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
   in
-  hr "Bechamel timings (ns per run, OLS on monotonic clock)";
+  Bench.section "Bechamel timings (ns per run, OLS on monotonic clock)";
   List.iter
     (fun test ->
       let raw = Benchmark.all cfg instances test in
@@ -1817,30 +1621,29 @@ let () =
      [jobs]`) the sequential-vs-parallel comparison
      (BENCH_parallel.json); `-- refine` (or `refine-quick`) the
      validator-ladder differential and scaling comparison
-     (BENCH_refine.json; exits 1 when a claim mismatches); `-- rmw` the
-     lock-free atomic pack gates (BENCH_rmw.json); `-- portability` (or
-     `portability-quick`) the pass x memory-model matrix
-     (BENCH_portability.json);
-     `-- obs-overhead` the disabled-telemetry cost guard (exits 1 when
-     the guards are not free); the default runs the full reproduction
-     suite. *)
-  match Sys.argv with
-  | [| _; "explore" |] -> explore_bench ()
-  | [| _; "explore-quick" |] -> explore_bench ~quick:true ()
+     (BENCH_refine.json); `-- rmw` the lock-free atomic pack gates
+     (BENCH_rmw.json); `-- portability` (or `portability-quick`) the
+     pass x memory-model matrix (BENCH_portability.json);
+     `-- obs-overhead` the disabled-telemetry cost guard; the default
+     runs the full reproduction suite.  Every mode exits 1 when one of
+     its claims fails, and the default suite when any does. *)
+  (match Sys.argv with
+  | [| _; "explore" |] -> explore_bench ~quick:false
+  | [| _; "explore-quick" |] -> explore_bench ~quick:true
   | [| _; "obs-overhead" |] -> obs_overhead ()
-  | [| _; "pipeline" |] -> pipeline_bench ()
-  | [| _; "pipeline-quick" |] -> pipeline_bench ~quick:true ()
-  | [| _; "parallel" |] -> parallel_bench ~jobs:4 ()
-  | [| _; "parallel"; j |] -> parallel_bench ~jobs:(int_of_string j) ()
-  | [| _; "parallel-quick" |] -> parallel_bench ~quick:true ~jobs:2 ()
+  | [| _; "pipeline" |] -> pipeline_bench ~quick:false
+  | [| _; "pipeline-quick" |] -> pipeline_bench ~quick:true
+  | [| _; "parallel" |] -> parallel_bench ~quick:false ~jobs:4
+  | [| _; "parallel"; j |] ->
+      parallel_bench ~quick:false ~jobs:(int_of_string j)
+  | [| _; "parallel-quick" |] -> parallel_bench ~quick:true ~jobs:2
   | [| _; "parallel-quick"; j |] ->
-      parallel_bench ~quick:true ~jobs:(int_of_string j) ()
-  | [| _; "refine" |] -> if not (refine_bench ()) then exit 1
-  | [| _; "refine-quick" |] ->
-      if not (refine_bench ~quick:true ()) then exit 1
+      parallel_bench ~quick:true ~jobs:(int_of_string j)
+  | [| _; "refine" |] -> refine_bench ~quick:false
+  | [| _; "refine-quick" |] -> refine_bench ~quick:true
   | [| _; "rmw" |] -> rmw_bench ()
-  | [| _; "portability" |] -> portability_bench ()
-  | [| _; "portability-quick" |] -> portability_bench ~quick:true ()
+  | [| _; "portability" |] -> portability_bench ~quick:false
+  | [| _; "portability-quick" |] -> portability_bench ~quick:true
   | _ ->
       e1 ();
       e2 ();
@@ -1858,12 +1661,12 @@ let () =
       e14 ();
       p1 ();
       p2 ();
-      explore_bench ();
-      pipeline_bench ();
-      parallel_bench ~jobs:4 ();
-      let refine_holds = refine_bench () in
+      explore_bench ~quick:false;
+      pipeline_bench ~quick:false;
+      parallel_bench ~quick:false ~jobs:4;
+      refine_bench ~quick:false;
       rmw_bench ();
-      portability_bench ();
+      portability_bench ~quick:false;
       run_bechamel ();
-      Fmt.pr "@.done.@.";
-      if not refine_holds then exit 1
+      Fmt.pr "@.done.@.");
+  exit (Bench.status ())

@@ -119,15 +119,6 @@ let pp_stats ppf s =
       s.steals s.lock_waits;
   Fmt.pf ppf "@]"
 
-let stats_to_json s =
-  let s = via_registry s in
-  Printf.sprintf
-    "{\"states\": %d, \"edges\": %d, \"memo_hits\": %d, \"por_cuts\": %d, \
-     \"peak_frontier\": %d, \"wall_s\": %.6f, \"domains\": %d, \"steals\": \
-     %d, \"lock_waits\": %d}"
-    s.states s.edges s.memo_hits s.por_cuts s.peak_frontier s.wall s.domains
-    s.steals s.lock_waits
-
 (* A dummy sink so the hot loops mutate unconditionally instead of
    matching on an option at every step. *)
 let sink = function Some s -> s | None -> create_stats ()

@@ -74,15 +74,12 @@ val pp_stats : Format.formatter -> stats -> unit
 (** Human-readable rendering.  The parallel counters are printed only
     when [domains > 0], so sequential output is unchanged. *)
 
-val stats_to_json : stats -> string
-(** One-line JSON object (states, edges, memo_hits, por_cuts,
-    peak_frontier, wall_s, domains, steals, lock_waits). *)
-
 val publish : into:Safeopt_obs.Metrics.t -> stats -> unit
 (** Record a stats delta into a metrics registry ([explorer.*]
-    counters and gauges).  [pp_stats] and [stats_to_json] render
-    through a fresh one-stripe registry via this, so the registry is
-    the single source of truth for the compatibility views. *)
+    counters and gauges).  [pp_stats] renders through a fresh
+    one-stripe registry via this, and a JSON view is
+    [Metrics.to_json] of such a registry, so the registry is the
+    single source of truth for every rendering. *)
 
 val of_registry : Safeopt_obs.Metrics.t -> stats
 (** Read the [explorer.*] metrics of a registry back into a stats

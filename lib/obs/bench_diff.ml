@@ -9,9 +9,13 @@
      (fewer reps, smaller walls) still compares cleanly against a
      committed full run;
    - an object carrying only "wall_s" compares by wall (lower is
-     better) — e.g. the per-phase tables;
+     better) — e.g. the per-phase tables.  A wall sums every rep, so
+     it is compared only when both files' "host" blocks agree on
+     "reps" and "quick"; otherwise it is listed as skipped;
    - every boolean field is a claim: true in the old file and false in
-     the new one is a regression regardless of thresholds.
+     the new one is a regression regardless of thresholds.  The
+     "host" block is the run's fingerprint, not a measurement, so none
+     of its fields is a point.
 
    Arrays of named objects ("experiments": [{"name": ...}]) pair by
    name, not index, so reordering or appending experiments never
@@ -30,6 +34,7 @@ type status =
   | Improved of float  (** relative delta in the good direction *)
   | Regressed of float  (** relative delta in the bad direction *)
   | Noise  (** both walls under the floor; not compared *)
+  | Reps_differ  (** a wall from runs of different reps; not compared *)
   | Claim_broken  (** boolean true -> false *)
 
 type row = {
@@ -100,7 +105,13 @@ let rec points path (j : Json.t) acc =
         acc fields
   | _ -> acc
 
-let extract j = List.rev (points "" j [])
+let extract j =
+  let j =
+    match j with
+    | Json.Obj fields -> Json.Obj (List.remove_assoc "host" fields)
+    | j -> j
+  in
+  List.rev (points "" j [])
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)
@@ -109,7 +120,7 @@ let extract j = List.rev (points "" j [])
 let default_threshold = 0.25
 let default_min_wall = 0.05
 
-let compare_points ~threshold ~min_wall olds news =
+let compare_points ~threshold ~min_wall ~alike olds news =
   let rows =
     List.filter_map
       (fun (path, old_pt) ->
@@ -129,7 +140,8 @@ let compare_points ~threshold ~min_wall olds news =
               }
         | Num o, Some (Num n) when o.dir = n.dir ->
             let status =
-              if Float.max o.wall n.wall < min_wall then Noise
+              if o.dir = Lower_better && not alike then Reps_differ
+              else if Float.max o.wall n.wall < min_wall then Noise
               else if o.value = 0. then Ok_same
               else
                 let bad =
@@ -153,7 +165,10 @@ let compare_points ~threshold ~min_wall olds news =
       olds
   in
   let compared =
-    List.length (List.filter (fun r -> r.r_status <> Noise) rows)
+    List.length
+      (List.filter
+         (fun r -> r.r_status <> Noise && r.r_status <> Reps_differ)
+         rows)
   in
   let regressions =
     List.length
@@ -169,7 +184,13 @@ let compare_points ~threshold ~min_wall olds news =
 let diff ?(threshold = default_threshold) ?(min_wall = default_min_wall)
     ~old_json ~new_json () =
   let olds = extract old_json and news = extract new_json in
-  let t = compare_points ~threshold ~min_wall olds news in
+  let host j k = Option.bind (Json.member "host" j) (Json.member k) in
+  let alike =
+    List.for_all
+      (fun k -> Option.equal Json.equal (host old_json k) (host new_json k))
+      [ "reps"; "quick" ]
+  in
+  let t = compare_points ~threshold ~min_wall ~alike olds news in
   if t.compared = 0 then
     Error "no comparable points (are these the same benchmark's files?)"
   else Ok t
@@ -213,6 +234,7 @@ let pp ppf t =
         | Improved d -> Printf.sprintf "improved %.0f%%" (d *. 100.)
         | Regressed d -> Printf.sprintf "REGRESSED %.0f%%" (d *. 100.)
         | Noise -> "skipped (noise floor)"
+        | Reps_differ -> "skipped (reps differ)"
         | Claim_broken -> "CLAIM BROKEN"
       in
       fprintf ppf "  %-44s %12s %12s  %s@." r.r_path

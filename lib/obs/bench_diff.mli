@@ -9,6 +9,9 @@
     compares by wall (lower is better), and every boolean field is a
     claim whose [true → false] transition is a regression regardless of
     thresholds.  Arrays of named objects pair by ["name"], not index.
+    The ["host"] block ({!Bench.write}) yields no point; when the two
+    hosts differ in ["reps"] or ["quick"], walls are not compared
+    (status {!Reps_differ}), only rates and claims.
 
     Noise: a numeric point whose wall is under [min_wall] (default
     0.05 s) on both sides is skipped; a surviving point regresses when
@@ -22,6 +25,7 @@ type status =
   | Improved of float  (** relative delta in the good direction *)
   | Regressed of float  (** relative delta in the bad direction *)
   | Noise  (** both walls under the floor; not compared *)
+  | Reps_differ  (** a wall from runs of different reps; not compared *)
   | Claim_broken  (** boolean [true] in old, [false] in new *)
 
 type row = {

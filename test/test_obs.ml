@@ -14,6 +14,7 @@ module Json = Safeopt_obs.Json
 module Snapshot = Safeopt_obs.Snapshot
 module Profile = Safeopt_obs.Profile
 module Bench_diff = Safeopt_obs.Bench_diff
+module Bench = Safeopt_obs.Bench
 
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
@@ -395,6 +396,94 @@ let test_bench_diff_verdicts () =
     | Error _ -> true
     | Ok _ -> false)
 
+(* --- bench harness ------------------------------------------------- *)
+
+let read_bench file =
+  let s = In_channel.with_open_text file In_channel.input_all in
+  Sys.remove file;
+  match Json.of_string s with
+  | Ok j -> (s, j)
+  | Error e -> Alcotest.failf "%s does not parse: %s" file e
+
+let claims_of j =
+  Option.value ~default:[] (Option.bind (Json.member "claims" j) Json.to_list)
+
+(* One test case, because the exit status is the whole run's: the
+   skipped claim must be checked before any claim fails. *)
+let test_bench_gates () =
+  let cores = Domain.recommended_domain_count () in
+  Bench.section "gates";
+  Bench.claim ~gate:(Bench.Cores (cores + 1)) "needs more cores" false;
+  check_i "a claim on a host below its gate does not fail the run" 0
+    (Bench.status ());
+  let file = Filename.temp_file "bench" ".json" in
+  Bench.write ~file ~schema:"bench_test/v1" ~reps:1 ~quick:true [];
+  let _, j = read_bench file in
+  check_b "it is recorded as skipped, not dropped" true
+    (match claims_of j with
+    | [ c ] ->
+        Json.member "name" c = Some (Json.String "needs more cores")
+        && Json.member "holds" c = Some Json.Null
+        && Json.member "gate" c
+           = Some (Json.String (Printf.sprintf "cores>=%d" (cores + 1)))
+    | _ -> false);
+  Bench.claim "always gated" false;
+  check_i "a failed gated claim fails the run" 1 (Bench.status ())
+
+let test_bench_file () =
+  let write holds =
+    let file = Filename.temp_file "bench" ".json" in
+    Bench.section "file";
+    Bench.claim "the figure holds" holds;
+    Bench.write ~file ~schema:"bench_test/v1" ~reps:3 ~quick:false
+      [
+        ( "experiments",
+          Json.List
+            [
+              Json.Obj
+                [
+                  ("name", Json.String "e1");
+                  ("wall_s", Json.Float 1.0);
+                  ("units_per_sec", Json.Float 100.);
+                ];
+            ] );
+      ];
+    file
+  in
+  let text, old_json = read_bench (write true) in
+  let _, new_json = read_bench (write false) in
+  let host k = Option.bind (Json.member "host" old_json) (Json.member k) in
+  check_b "host carries cores, ocaml, commit, reps and quick" true
+    (host "cores" = Some (Json.Int (Domain.recommended_domain_count ()))
+    && host "ocaml" = Some (Json.String Sys.ocaml_version)
+    && Option.is_some (host "commit")
+    && host "reps" = Some (Json.Int 3)
+    && host "quick" = Some (Json.Bool false));
+  check_b "claims carry name, holds and gate" true
+    (match claims_of old_json with
+    | [ c ] ->
+        Json.equal c
+          (Json.Obj
+             [
+               ("name", Json.String "the figure holds");
+               ("holds", Json.Bool true);
+               ("gate", Json.String "always");
+             ])
+    | _ -> false);
+  check_b "one array element per line" true
+    (List.mem {|    {"name":"e1","wall_s":1.0,"units_per_sec":100.0}|}
+       (String.split_on_char '\n' text));
+  match Bench_diff.diff ~old_json ~new_json () with
+  | Error e -> Alcotest.failf "diff failed: %s" e
+  | Ok t ->
+      check_b "bench diff flags the claim going true -> false" true
+        (Bench_diff.regressed t
+        && List.exists
+             (fun r ->
+               r.Bench_diff.r_path = "claims[the figure holds].holds"
+               && r.Bench_diff.r_status = Bench_diff.Claim_broken)
+             t.Bench_diff.rows)
+
 (* --- heartbeat snapshots under live exploration -------------------- *)
 
 let snapshot_progress () =
@@ -522,6 +611,12 @@ let () =
         ] );
       ( "bench-diff",
         [ Alcotest.test_case "verdicts" `Quick test_bench_diff_verdicts ] );
+      ( "bench",
+        [
+          Alcotest.test_case "claims gate the run" `Quick test_bench_gates;
+          Alcotest.test_case "file carries host and claims" `Quick
+            test_bench_file;
+        ] );
       ( "heartbeat",
         [ snapshot_invariants 1; snapshot_invariants 4 ] );
     ]
