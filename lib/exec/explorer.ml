@@ -261,18 +261,45 @@ module Intern = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Memory disciplines                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module type BUFFER = sig
+  type t
+
+  val name : string
+  val empty : t
+  val is_empty : t -> bool
+  val push : Location.t -> Value.t -> t -> t
+  val forward : t -> Location.t -> Value.t option
+  val drains : t -> ((Location.t * Value.t) * t) list
+  val digest : (Location.t -> int) -> t -> int list
+end
+
+(* What the threads of a system run over: shared memory alone (SC), or
+   a store buffer per thread of discipline ['b] in front of it, where
+   writes to the [vol] locations fence (TSO, PSO). *)
+type 'b memory =
+  | Sc
+  | Buffered of (module BUFFER with type t = 'b) * Location.Volatile.t
+
+(* ------------------------------------------------------------------ *)
 (* Hash-consed scheduler states                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* A scheduler state carries its own digest pieces: [tkeys.(i)] is the
-   interned key of thread [i]'s state, [mem_id]/[locks_id] the interned
-   canonical serialisations of the shared memory and the monitor table.
-   Successors update only the piece an action touches, so the O(|state|)
-   re-serialisation of the old string keys happens at most once per
-   changed component per transition, not once per component per visit. *)
-type 'ts state = {
+   interned key of thread [i]'s state, [bkeys.(i)] that of its store
+   buffer (no buffers, and no keys, under SC), [mem_id]/[locks_id] the
+   interned canonical serialisations of the shared memory and the
+   monitor table.  Successors update only the piece an action touches,
+   so the O(|state|) re-serialisation of the old string keys happens at
+   most once per changed component per transition, not once per
+   component per visit. *)
+type ('ts, 'b) state = {
   threads : 'ts array;
   tkeys : int array;
+  bufs : 'b array;
+  bkeys : int array;
   mem : Value.t Location.Map.t;
   mem_id : int;
   locks : (Thread_id.t * int) Monitor.Map.t;
@@ -284,63 +311,58 @@ type 'ts state = {
    engine (striped tables from {!Par}) share every function below
    ([initial], [enabled], [state_id], ...) without the sequential path
    paying any mutex or atomic cost. *)
-type 'ts ctx = {
+type ('ts, 'b) ctx = {
   sys : 'ts System.t;
+  memory : 'b memory;
   tkey : string -> int;  (** thread-state keys *)
   lkey : string -> int;  (** locations *)
   mkey : string -> int;  (** monitors *)
   mems : int array -> int;  (** canonical memories *)
   lockts : int array -> int;  (** canonical monitor tables *)
+  bkey : 'b -> int;  (** store buffers *)
   ids : int array -> int * bool;  (** full state digest -> (id, fresh) *)
   arena_words : unit -> int;  (** packed digest words across all tables *)
 }
 
-(* Both contexts store their int-array digests (memories, monitor
-   tables, full states) in {!Par.Ptbl} packed arenas — unboxed bump
+(* The context stores its int-array digests (memories, monitor tables,
+   buffers, full states) in {!Par.Ptbl} packed arenas — unboxed bump
    allocation, open-addressing index, no per-state boxed key.  The
-   sequential context uses the single-stripe mutex-free variant, so it
-   pays no synchronisation; the parallel one the striped table. *)
-let make_ctx sys =
-  let tkey = Intern.create () in
-  let lkey = Intern.create () in
-  let mkey = Intern.create () in
-  let mems = Par.Ptbl.create_local ~dummy:() () in
-  let lockts = Par.Ptbl.create_local ~dummy:() () in
-  let ids = Par.Ptbl.create_local ~dummy:() () in
+   sequential context ([striped = false]) uses plain hash tables and the
+   single-stripe mutex-free arenas, so it pays no synchronisation; the
+   parallel one ([striped = true]) the striped tables, safe to call from
+   any domain of a pool.  Striped ids come from atomic counters, so
+   their numeric order varies across runs; they are only used for
+   equality. *)
+let make_ctx (type b) ~striped (memory : b memory) sys : (_, b) ctx =
+  let names () =
+    if striped then Par.Intern.id (Par.Intern.create ())
+    else Intern.id (Intern.create ())
+  in
+  let table () =
+    if striped then Par.Ptbl.create ~dummy:() ()
+    else Par.Ptbl.create_local ~dummy:() ()
+  in
+  let lkey = names () in
+  let mems = table () and lockts = table () and bufs = table ()
+  and ids = table () in
   {
     sys;
-    tkey = Intern.id tkey;
-    lkey = Intern.id lkey;
-    mkey = Intern.id mkey;
+    memory;
+    tkey = names ();
+    lkey;
+    mkey = names ();
     mems = Par.Ptbl.intern mems;
     lockts = Par.Ptbl.intern lockts;
+    bkey =
+      (match memory with
+      | Sc -> fun _ -> 0
+      | Buffered ((module B), _) ->
+          fun b -> Par.Ptbl.intern bufs (Array.of_list (B.digest lkey b)));
     ids = Par.Ptbl.intern_fresh ids;
     arena_words =
       (fun () ->
-        Par.Ptbl.words mems + Par.Ptbl.words lockts + Par.Ptbl.words ids);
-  }
-
-(* Same context shape over the striped tables: safe to call from any
-   domain of a pool.  Ids come from atomic counters, so their numeric
-   order varies across runs; they are only used for equality. *)
-let make_par_ctx sys =
-  let tkey = Par.Intern.create () in
-  let lkey = Par.Intern.create () in
-  let mkey = Par.Intern.create () in
-  let mems = Par.Ptbl.create ~dummy:() () in
-  let lockts = Par.Ptbl.create ~dummy:() () in
-  let ids = Par.Ptbl.create ~dummy:() () in
-  {
-    sys;
-    tkey = Par.Intern.id tkey;
-    lkey = Par.Intern.id lkey;
-    mkey = Par.Intern.id mkey;
-    mems = Par.Ptbl.intern mems;
-    lockts = Par.Ptbl.intern lockts;
-    ids = Par.Ptbl.intern_fresh ids;
-    arena_words =
-      (fun () ->
-        Par.Ptbl.words mems + Par.Ptbl.words lockts + Par.Ptbl.words ids);
+        Par.Ptbl.words mems + Par.Ptbl.words lockts + Par.Ptbl.words bufs
+        + Par.Ptbl.words ids);
   }
 
 let intern_mem ctx mem =
@@ -357,11 +379,18 @@ let intern_locks ctx locks =
   in
   ctx.lockts (Array.of_list parts)
 
-let initial ctx =
+let initial (type b) (ctx : (_, b) ctx) =
   let threads = Array.of_list ctx.sys.System.initial in
+  let bufs : b array =
+    match ctx.memory with
+    | Sc -> [||]
+    | Buffered ((module B), _) -> Array.map (fun _ -> B.empty) threads
+  in
   {
     threads;
     tkeys = Array.map (fun ts -> ctx.tkey (ctx.sys.System.key ts)) threads;
+    bufs;
+    bkeys = Array.map ctx.bkey bufs;
     mem = Location.Map.empty;
     mem_id = intern_mem ctx Location.Map.empty;
     locks = Monitor.Map.empty;
@@ -369,11 +398,12 @@ let initial ctx =
   }
 
 let state_digest st =
-  let n = Array.length st.tkeys in
-  let d = Array.make (n + 2) 0 in
+  let n = Array.length st.tkeys and nb = Array.length st.bkeys in
+  let d = Array.make (n + nb + 2) 0 in
   Array.blit st.tkeys 0 d 0 n;
-  d.(n) <- st.mem_id;
-  d.(n + 1) <- st.locks_id;
+  Array.blit st.bkeys 0 d n nb;
+  d.(n + nb) <- st.mem_id;
+  d.(n + nb + 1) <- st.locks_id;
   d
 
 let state_id ctx st = ctx.ids (state_digest st)
@@ -390,49 +420,107 @@ let set_thread ctx st tid ts' =
   tkeys.(tid) <- ctx.tkey (ctx.sys.System.key ts');
   { st with threads; tkeys }
 
+let set_buffer ctx st tid buf =
+  let bufs = Array.copy st.bufs in
+  bufs.(tid) <- buf;
+  let bkeys = Array.copy st.bkeys in
+  bkeys.(tid) <- ctx.bkey buf;
+  { st with bufs; bkeys }
+
 let with_mem ctx st mem = { st with mem; mem_id = intern_mem ctx mem }
 let with_locks ctx st locks =
   { st with locks; locks_id = intern_locks ctx locks }
 
+(* The four decisions of a memory discipline.  Under SC a read sees
+   memory, a write goes to memory, and nothing waits.  Under a buffered
+   discipline: *)
+
+(* - a read sees the thread's own newest buffered write to the location
+     (store-to-load forwarding), else memory; *)
+let load (type b) (ctx : (_, b) ctx) st tid l =
+  match ctx.memory with
+  | Sc -> read_value st l
+  | Buffered ((module B), _) -> (
+      match B.forward st.bufs.(tid) l with
+      | Some v -> v
+      | None -> read_value st l)
+
+(* - fencing steps (volatile write, lock, unlock, RMW) wait until the
+     thread's buffer is empty; *)
+let flushed (type b) (ctx : (_, b) ctx) st tid =
+  match ctx.memory with
+  | Sc -> true
+  | Buffered ((module B), _) -> B.is_empty st.bufs.(tid)
+
+(* - a write to a non-volatile location joins the thread's buffer,
+     and a volatile one goes to memory once the buffer is empty ([None]
+     while it must wait); *)
+let store (type b) (ctx : (_, b) ctx) st tid l v =
+  match ctx.memory with
+  | Buffered ((module B), vol) when not (Location.Volatile.mem vol l) ->
+      Some (fun () -> set_buffer ctx st tid (B.push l v st.bufs.(tid)))
+  | Buffered _ when not (flushed ctx st tid) -> None
+  | Sc | Buffered _ ->
+      Some (fun () -> with_mem ctx st (Location.Map.add l v st.mem))
+
+(* - and any buffered write the discipline lets out may drain to
+     memory, as a step of its thread labelled with that write (the
+     machines explore unreduced, so a label need only not be
+     external). *)
+let drains (type b) (ctx : (_, b) ctx) st tid add =
+  match ctx.memory with
+  | Sc -> ()
+  | Buffered ((module B), _) ->
+      List.iter
+        (fun ((l, v), buf') ->
+          add (Action.Write (l, v)) (fun () ->
+              set_buffer ctx
+                (with_mem ctx st (Location.Map.add l v st.mem))
+                tid buf'))
+        (B.drains st.bufs.(tid))
+
 (* An enabled transition: its thread, its action, and the successor
    state, built only when a search follows the edge. *)
-type 'ts succ = Thread_id.t * Action.t * (unit -> 'ts state)
+type ('ts, 'b) succ = Thread_id.t * Action.t * (unit -> ('ts, 'b) state)
 
 (* All enabled transitions from a scheduler state, in thread-index then
    step order — witness searches depend on this order being stable.
+   Under a buffered memory a thread's drains come before its steps.
 
    Whether a transition is enabled and its label are decided here,
    eagerly: a read's value, the thread's answer to it, the monitor
-   table's owner check.  The successor — a copied thread array, the
-   stepping thread's key, an interned memory or monitor table — is a
-   closure: reductions cut many transitions by label alone (persistent
-   sets, sleep sets, the race check against a state's enabled set), and
-   those are never built. *)
+   table's owner check, the buffer's emptiness.  The successor — a
+   copied thread array, the stepping thread's key, an interned memory,
+   monitor table or buffer — is a closure: reductions cut many
+   transitions by label alone (persistent sets, sleep sets, the race
+   check against a state's enabled set), and those are never built. *)
 let enabled ctx st : _ succ list =
   let out = ref [] in
   Array.iteri
     (fun tid ts ->
       let add a build = out := (tid, a, build) :: !out in
+      drains ctx st tid add;
       List.iter
         (fun step ->
           match step with
           | System.Read (l, k) -> (
-              let v = read_value st l in
+              let v = load ctx st tid l in
               match k v with
               | Some ts' ->
                   add (Action.Read (l, v)) (fun () -> set_thread ctx st tid ts')
               | None -> ())
           | System.Rmw (l, k) ->
-              let v = read_value st l in
-              List.iter
-                (fun (w, ts') ->
-                  add
-                    (Action.Rmw (l, v, w))
-                    (fun () ->
-                      set_thread ctx
-                        (with_mem ctx st (Location.Map.add l w st.mem))
-                        tid ts'))
-                (k v)
+              if flushed ctx st tid then
+                let v = read_value st l in
+                List.iter
+                  (fun (w, ts') ->
+                    add
+                      (Action.Rmw (l, v, w))
+                      (fun () ->
+                        set_thread ctx
+                          (with_mem ctx st (Location.Map.add l w st.mem))
+                          tid ts'))
+                  (k v)
           | System.Emit (a, ts') -> (
               let commit f = add a (fun () -> set_thread ctx (f ()) tid ts') in
               let relock locks () = with_locks ctx st locks in
@@ -441,9 +529,10 @@ let enabled ctx st : _ succ list =
                   invalid_arg "Explorer: reads must use System.Read steps"
               | Action.Rmw _ ->
                   invalid_arg "Explorer: RMWs must use System.Rmw steps"
-              | Action.Write (l, v) ->
-                  commit (fun () ->
-                      with_mem ctx st (Location.Map.add l v st.mem))
+              | Action.Write (l, v) -> Option.iter commit (store ctx st tid l v)
+              | (Action.Lock _ | Action.Unlock _) when not (flushed ctx st tid)
+                ->
+                  ()
               | Action.Lock m -> (
                   match Monitor.Map.find_opt m st.locks with
                   | None ->
@@ -561,9 +650,9 @@ let select ~local (s : stats) succs =
    under the intersection, which only ever shrinks, so the recursion
    terminates and the stored result only grows. *)
 let explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
-    ~(label : Action.t -> r -> r) ~max_states ~local ~stats sys =
+    ~(label : Action.t -> r -> r) ~max_states ~local ~stats memory sys =
   let s = sink stats in
-  let ctx = make_ctx sys in
+  let ctx = make_ctx ~striped:false memory sys in
   let memo : (int, sleeper list * r) Hashtbl.t = Hashtbl.create 997 in
   let on_stack : (int, unit) Hashtbl.t = Hashtbl.create 97 in
   let count = ref 0 in
@@ -636,10 +725,10 @@ let explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
    sequential DFS would, including raising [Cyclic] on cycles.
 
    [par_discover] is the sleep-set-free discovery used by the race
-   search (whose [expand] may follow only a persistent set) and the
-   TSO/PSO graph machines: edges and BFS-tree parents accumulate in
-   per-worker lists (no sharing, no locks).  The sleep-set-aware
-   discovery used by [behaviours]/[count_states] lives in
+   search (whose [expand] may follow only a persistent set): edges and
+   BFS-tree parents accumulate in per-worker lists (no sharing, no
+   locks).  The sleep-set-aware discovery used by
+   [behaviours]/[count_states] and the store-buffer machines lives in
    [par_explore_core] below. *)
 
 (* Per-worker instrumentation hooks for a {!Par.Ws} run.  The branch on
@@ -808,9 +897,9 @@ type pmeta = {
 }
 
 let par_explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
-    ~(label : Action.t -> r -> r) ~pool ~max_states ~local ~stats sys =
+    ~(label : Action.t -> r -> r) ~pool ~max_states ~local ~stats memory sys =
   let s = sink stats in
-  let ctx = make_par_ctx sys in
+  let ctx = make_ctx ~striped:true memory sys in
   let nw = Par.Pool.size pool in
   let wstats = Array.init nw (fun _ -> create_stats ()) in
   track_wstats wstats;
@@ -969,38 +1058,50 @@ let beh_label a sub =
   | Action.External v -> Behaviour.Set.map (fun b -> v :: b) sub
   | _ -> sub
 
-let seq_behaviours ~local sys max_states stats =
+let seq_behaviours ~local memory sys max_states stats =
   fst
     (explore_core
        ~empty:(Behaviour.Set.singleton [])
        ~union:Behaviour.Set.union ~label:beh_label ~max_states ~local ~stats
-       sys)
+       memory sys)
 
-let par_behaviours ~max_states ~local ~stats sys pool =
+let par_behaviours ~max_states ~local ~stats memory sys pool =
   fst
     (par_explore_core
        ~empty:(Behaviour.Set.singleton [])
        ~union:Behaviour.Set.union ~label:beh_label ~pool ~max_states ~local
-       ~stats sys)
+       ~stats memory sys)
 
 let behaviours ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
     sys =
   observed "explorer.behaviours" stats (fun engine stats ->
       granular ?jobs ?pool ~max_states ~engine ~stats
-        ~seq:(seq_behaviours ~local sys)
-        ~par:(par_behaviours ~max_states ~local ~stats sys)
+        ~seq:(seq_behaviours ~local Sc sys)
+        ~par:(par_behaviours ~max_states ~local ~stats Sc sys)
+        ())
+
+(* The store-buffer machines explore unreduced: [local] is an SC
+   notion, and buffered steps commute differently. *)
+let machine_behaviours ?(max_states = default_max_states) ?stats ?jobs ?pool
+    buffer vol sys =
+  let module B = (val buffer : BUFFER) in
+  let memory = Buffered ((module B), vol) in
+  observed "explorer.machine" stats (fun engine stats ->
+      granular ?jobs ?pool ~max_states ~engine ~stats
+        ~seq:(seq_behaviours ~local:None memory sys)
+        ~par:(par_behaviours ~max_states ~local:None ~stats memory sys)
         ())
 
 let seq_count_states ~local sys max_states stats =
   snd
     (explore_core ~empty:() ~union:(fun () () -> ()) ~label:(fun _ () -> ())
-       ~max_states ~local ~stats sys)
+       ~max_states ~local ~stats Sc sys)
 
 let par_count_states ~max_states ~local ~stats sys pool =
   snd
     (par_explore_core ~empty:() ~union:(fun () () -> ())
        ~label:(fun _ () -> ())
-       ~pool ~max_states ~local ~stats sys)
+       ~pool ~max_states ~local ~stats Sc sys)
 
 let count_states ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
     sys =
@@ -1016,7 +1117,7 @@ let count_states ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
 
 let maximal_executions_seq ?(max_steps = 1_000_000) ?stats sys =
   let s = sink stats in
-  let ctx = make_ctx sys in
+  let ctx = make_ctx ~striped:false Sc sys in
   let steps = ref 0 in
   let rec go st rev_path : Interleaving.t Seq.t =
    fun () ->
@@ -1051,7 +1152,7 @@ let count_executions ?max_steps ?stats sys =
 (* wall time and telemetry are handled by [observed] in the entry point *)
 let seq_find_adjacent_race ~max_states ~local ?stats vol sys =
   let s = sink stats in
-  let ctx = make_ctx sys in
+  let ctx = make_ctx ~striped:false Sc sys in
   (* A state's enabled labels are needed both when it is visited and
      for the adjacent-race check on every incoming edge: keep them by
      state id.  Only labels are kept, never the successor closures, so
@@ -1124,7 +1225,7 @@ let seq_find_adjacent_race ~max_states ~local ?stats vol sys =
    parallel runs), as any adjacent race is a valid witness. *)
 let par_find_adjacent_race ~pool ~max_states ~local ?stats vol sys =
   let s = sink stats in
-  let ctx = make_par_ctx sys in
+  let ctx = make_ctx ~striped:true Sc sys in
   let nw = Par.Pool.size pool in
   let wstats = Array.init nw (fun _ -> create_stats ()) in
   track_wstats wstats;
@@ -1209,7 +1310,7 @@ let is_drf ?max_states ?stats ?jobs ?pool vol sys =
 let find_deadlock ?(max_states = default_max_states) ?stats sys =
   observed "explorer.deadlock" stats (fun _ stats ->
       let s = sink stats in
-      let ctx = make_ctx sys in
+      let ctx = make_ctx ~striped:false Sc sys in
       let visited : (int, unit) Hashtbl.t = Hashtbl.create 997 in
       let count = ref 0 in
       let exception Found of Interleaving.t in
@@ -1249,7 +1350,7 @@ let find_deadlock ?(max_states = default_max_states) ?stats sys =
 (* ------------------------------------------------------------------ *)
 
 let sample_runs ?(max_actions = 10_000) ~seed ~runs sys =
-  let ctx = make_ctx sys in
+  let ctx = make_ctx ~striped:false Sc sys in
   Seq.init runs (fun run ->
       (* one generator per run, so the stream is re-evaluable and a
          consumer may stop after any prefix without changing the rest *)
@@ -1282,85 +1383,6 @@ let sample_behaviours ?max_actions ~seed ~runs ?stats sys =
         (sample_runs ?max_actions ~seed ~runs sys))
 
 (* ------------------------------------------------------------------ *)
-(* Generic graph engine (TSO/PSO machines)                             *)
-(* ------------------------------------------------------------------ *)
-
-type 'st graph = {
-  graph_initial : 'st;
-  graph_transitions : 'st -> (Action.t option * 'st) list;
-  graph_digest : 'st -> int list;
-}
-
-let graph_label a sub =
-  match a with
-  | Some (Action.External v) -> Behaviour.Set.map (fun b -> v :: b) sub
-  | _ -> sub
-
-let seq_graph_behaviours g max_states stats =
-  let s = sink stats in
-  let ids = Par.Ptbl.create_local ~dummy:() () in
-  let memo : (int, Behaviour.Set.t) Hashtbl.t = Hashtbl.create 997 in
-  let on_stack : (int, unit) Hashtbl.t = Hashtbl.create 97 in
-  let count = ref 0 in
-  let rec go st depth =
-    let id = Par.Ptbl.intern ids (Array.of_list (g.graph_digest st)) in
-    match Hashtbl.find_opt memo id with
-    | Some set ->
-        s.memo_hits <- s.memo_hits + 1;
-        set
-    | None ->
-        if Hashtbl.mem on_stack id then raise Cyclic;
-        Hashtbl.add on_stack id ();
-        incr count;
-        s.states <- s.states + 1;
-        if !count > max_states then raise (Too_many_states !count);
-        if depth > s.peak_frontier then s.peak_frontier <- depth;
-        let set =
-          List.fold_left
-            (fun acc (a, st') ->
-              s.edges <- s.edges + 1;
-              let sub = go st' (depth + 1) in
-              Behaviour.Set.union acc (graph_label a sub))
-            (Behaviour.Set.singleton [])
-            (g.graph_transitions st)
-        in
-        Hashtbl.remove on_stack id;
-        Hashtbl.replace memo id set;
-        set
-  in
-  go g.graph_initial 1
-
-let par_graph_behaviours ~max_states ~stats g pool =
-  let s = sink stats in
-  let ids = Par.Ptbl.create ~dummy:() () in
-  let nw = Par.Pool.size pool in
-  let wstats = Array.init nw (fun _ -> create_stats ()) in
-  track_wstats wstats;
-  Fun.protect ~finally:(fun () -> untrack_wstats wstats) @@ fun () ->
-  let _n, succ, _parents, id0 =
-    par_discover ~pool ~max_states ~wstats
-      ~expand:(fun _ _ st -> g.graph_transitions st)
-      ~intern:(fun st ->
-        Par.Ptbl.intern_fresh ids (Array.of_list (g.graph_digest st)))
-      g.graph_initial
-  in
-  let r =
-    fold_graph
-      ~empty:(Behaviour.Set.singleton [])
-      ~union:Behaviour.Set.union ~label:graph_label ~stats:s succ id0
-  in
-  join_wstats ~into:s wstats;
-  s.domains <- max s.domains nw;
-  r
-
-let graph_behaviours ?(max_states = default_max_states) ?stats ?jobs ?pool g =
-  observed "explorer.graph" stats (fun engine stats ->
-      granular ?jobs ?pool ~max_states ~engine ~stats
-        ~seq:(seq_graph_behaviours g)
-        ~par:(par_graph_behaviours ~max_states ~stats g)
-        ())
-
-(* ------------------------------------------------------------------ *)
 (* Always-stealing entry points                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1372,7 +1394,7 @@ module Parallel = struct
 
   let behaviours ?(max_states = default_max_states) ?local ?stats ~pool sys =
     steal "explorer.behaviours" stats (fun stats ->
-        par_behaviours ~max_states ~local ~stats sys pool)
+        par_behaviours ~max_states ~local ~stats Sc sys pool)
 
   let count_states ?(max_states = default_max_states) ?local ?stats ~pool sys
       =
@@ -1384,7 +1406,11 @@ module Parallel = struct
     steal "explorer.race_search" stats (fun stats ->
         par_find_adjacent_race ~pool ~max_states ~local ?stats vol sys)
 
-  let graph_behaviours ?(max_states = default_max_states) ?stats ~pool g =
-    steal "explorer.graph" stats (fun stats ->
-        par_graph_behaviours ~max_states ~stats g pool)
+  let machine_behaviours ?(max_states = default_max_states) ?stats ~pool
+      buffer vol sys =
+    let module B = (val buffer : BUFFER) in
+    steal "explorer.machine" stats (fun stats ->
+        par_behaviours ~max_states ~local:None ~stats
+          (Buffered ((module B), vol))
+          sys pool)
 end

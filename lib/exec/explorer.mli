@@ -1,10 +1,13 @@
 (** The unified exploration engine.
 
     A depth-first scheduler over an abstract thread system
-    ({!System.t}) and a generic memoised search over explicit transition
-    graphs ({!type-graph}).  All exhaustive analyses in the repository —
+    ({!System.t}), run over shared memory alone (SC) or over a store
+    buffer per thread in front of it (the TSO and PSO machines, see
+    {!module-type-BUFFER}).  All exhaustive analyses in the repository —
     behaviour enumeration, state counting, race and deadlock witness
-    searches, TSO/PSO machine exploration — run on this engine.
+    searches, TSO/PSO machine exploration — run on this one scheduler:
+    one enabled-set function, one sequential and one work-stealing
+    engine.
 
     Three properties distinguish it from a naive search:
 
@@ -288,35 +291,63 @@ val sample_behaviours :
 (** Prefix-closed union of {!sample_runs}.  Sound under-approximation of
     {!behaviours} for systems too large to enumerate. *)
 
-(** {1 Generic graph exploration}
+(** {1 Store-buffer machines}
 
-    For machines whose transition relation is not a {!System.t} — the
-    TSO and PSO store-buffer machines — the engine exposes a memoised
-    behaviour search over an explicit graph. *)
+    The TSO and PSO machines are the scheduler above with a store
+    buffer per thread.  A non-volatile write joins the writing thread's
+    buffer; a read sees the thread's own newest buffered write to the
+    location (store-to-load forwarding), else memory; fencing steps
+    (volatile writes, lock, unlock, RMW) wait until the thread's buffer
+    is empty; and a buffered write may drain to memory as an internal
+    step of its thread.  The buffer discipline decides the rest. *)
 
-type 'st graph = {
-  graph_initial : 'st;
-  graph_transitions : 'st -> (Action.t option * 'st) list;
-      (** [None] labels an internal transition (e.g. a buffer drain). *)
-  graph_digest : 'st -> int list;
-      (** An injective int encoding of the state; the engine interns it. *)
-}
+(** A per-thread buffer discipline: the only thing TSO and PSO
+    disagree about. *)
+module type BUFFER = sig
+  type t
 
-val graph_behaviours :
+  val name : string
+  (** Model name ("tso", "pso"). *)
+
+  val empty : t
+
+  val is_empty : t -> bool
+  (** Fencing steps require this. *)
+
+  val push : Location.t -> Value.t -> t -> t
+  (** Enqueue a pending write (newest). *)
+
+  val forward : t -> Location.t -> Value.t option
+  (** Store-to-load forwarding: the newest pending write to the
+      location, if any. *)
+
+  val drains : t -> ((Location.t * Value.t) * t) list
+  (** Every write that may drain to memory right now, with the buffer
+      that remains. *)
+
+  val digest : (Location.t -> int) -> t -> int list
+  (** Injective encoding (given the location interner), for state
+      hashing. *)
+end
+
+val machine_behaviours :
   ?max_states:int ->
   ?stats:stats ->
   ?jobs:int ->
   ?pool:Par.Pool.t ->
-  'st graph ->
+  (module BUFFER) ->
+  Location.Volatile.t ->
+  'ts System.t ->
   Behaviour.Set.t
-(** Prefix-closed behaviour set of the graph, memoised on the interned
-    digest.  Raises {!Cyclic} / {!Too_many_states} as above.
-    [jobs]/[pool] parallelise the graph discovery as described under
-    {e Parallel exploration}; the resulting set is identical.  Under
-    [jobs]/[pool] the engine calls [graph_transitions] and
-    [graph_digest] from several worker domains concurrently, so any
-    state the closures share (e.g. interning tables) must be
-    thread-safe — {!Par.Intern} is made for this. *)
+(** The prefix-closed behaviour set of [sys] on the machine with the
+    given buffer discipline, where writes to the volatile locations
+    fence.  The search is unreduced (there is no [local]): every
+    reachable machine state is explored, and each buffer is interned
+    beside its thread's key, so a step re-keys only what it touched.
+    Raises {!Cyclic} / {!Too_many_states} as {!behaviours} does, and
+    [jobs]/[pool] choose the engine as described under {e Parallel
+    exploration}; the set and [stats.states] are the same whichever
+    engine decides. *)
 
 (** {1 Always-stealing entry points}
 
@@ -354,10 +385,12 @@ module Parallel : sig
     'ts System.t ->
     Interleaving.t option
 
-  val graph_behaviours :
+  val machine_behaviours :
     ?max_states:int ->
     ?stats:stats ->
     pool:Par.Pool.t ->
-    'st graph ->
+    (module BUFFER) ->
+    Location.Volatile.t ->
+    'ts System.t ->
     Behaviour.Set.t
 end

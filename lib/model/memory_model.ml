@@ -35,11 +35,5 @@ let behaviours ?fuel ?max_states ?stats ?jobs ?pool m p =
   | Tso -> Store_buffer.Tso.program_behaviours ?fuel ?max_states ?stats ?jobs ?pool p
   | Pso -> Store_buffer.Pso.program_behaviours ?fuel ?max_states ?stats ?jobs ?pool p
 
-let system_behaviours ?max_states ?stats ?jobs ?pool m vol sys =
-  match m with
-  | Sc -> Explorer.behaviours ?max_states ?stats ?jobs ?pool sys
-  | Tso -> Store_buffer.Tso.behaviours ?max_states ?stats ?jobs ?pool vol sys
-  | Pso -> Store_buffer.Pso.behaviours ?max_states ?stats ?jobs ?pool vol sys
-
 let replays ?fuel ?max_states ?jobs ?pool m p b =
   Behaviour.Set.mem b (behaviours ?fuel ?max_states ?jobs ?pool m p)

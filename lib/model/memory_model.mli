@@ -11,7 +11,8 @@
       DRF original must stay DRF and gain no behaviours; racy originals
       are vacuously fine).
     - {e Tso}/{e Pso} are hardware models: every program, racy or not,
-      has defined behaviour (the store-buffer machine,
+      has defined behaviour (the SC scheduler with a store buffer per
+      thread, {!Explorer.machine_behaviours}, under the disciplines of
       {!Store_buffer}), so transformation safety is plain behaviour
       inclusion under the model.
 
@@ -58,21 +59,12 @@ val behaviours :
   Ast.program ->
   Behaviour.Set.t
 (** The program's observable behaviours under the model
-    (prefix-closed): SC interleavings for {!Sc}, the store-buffer
-    machine for {!Tso}/{!Pso}.  [jobs]/[pool] parallelise the
+    (prefix-closed): SC interleavings for {!Sc} (explored with the
+    thread-local reduction, as {!Safeopt_lang.Interp.behaviours}), the
+    store-buffer machine for {!Tso}/{!Pso} (unreduced).  All three run
+    on the one {!Explorer} scheduler.  [jobs]/[pool] parallelise the
     exploration past {!Explorer.steal_after} states; the set is
     identical. *)
-
-val system_behaviours :
-  ?max_states:int ->
-  ?stats:Explorer.stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
-  t ->
-  Safeopt_trace.Location.Volatile.t ->
-  'ts System.t ->
-  Behaviour.Set.t
-(** As {!behaviours}, over an explicit {!Safeopt_exec.System}. *)
 
 val replays :
   ?fuel:int ->

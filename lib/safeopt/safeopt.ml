@@ -22,7 +22,8 @@
     - static analysis: {!Cfg}, {!Dataflow}, {!Lockset}, {!Static_race};
     - memory models: {!Memory_model} (the first-class model interface:
       SC, TSO, PSO behind one [behaviours]/[replays] face),
-      {!Store_buffer} (the shared buffered-machine functor);
+      {!Store_buffer} (the TSO and PSO buffer disciplines the one
+      scheduler runs);
     - hardware models: {!Tso}, {!Pso}, {!Robustness};
     - corpus and generators: {!Litmus}, {!Corpus}, {!Generators},
       {!Portability} (the pass × model portability matrix);

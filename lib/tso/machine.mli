@@ -33,8 +33,8 @@ val behaviours :
   'ts System.t ->
   Behaviour.Set.t
 (** All observable behaviours of the system under TSO (prefix-closed),
-    computed on the unified engine ({!Explorer.graph_behaviours}) with
-    hash-consed machine states.  [jobs]/[pool] parallelise the state
+    computed by the SC scheduler with a store buffer per thread
+    ({!Explorer.machine_behaviours}).  [jobs]/[pool] parallelise the state
     discovery ({!Safeopt_exec.Par}) past {!Explorer.steal_after}
     states; the resulting set is identical.
     @raise Explorer.Cyclic / @raise Explorer.Too_many_states as the

@@ -177,8 +177,8 @@ let weak_agrees p =
         match pool with
         | None -> M.behaviours ~max_states vol sys
         | Some pool ->
-            Explorer.Parallel.graph_behaviours ~max_states ~pool
-              (M.graph vol sys)
+            Explorer.Parallel.machine_behaviours ~max_states ~pool M.buffer
+              vol sys
       in
       same_behaviours (outcome (beh ours)) (outcome (beh ref_)))
     [

@@ -236,9 +236,30 @@ let qcheck_jobs_parity =
               (fun ~pool p -> par_behaviours ~pool p)
               (fun ~pool p -> par_count_states ~pool p)))
 
+module Store_buffer = Safeopt_model.Store_buffer
+
+(* A store-buffer machine's behaviours of [p] on the stealing engine. *)
+let par_machine ?stats ~pool (module M : Store_buffer.MACHINE) p =
+  Explorer.Parallel.machine_behaviours ?stats ~pool M.buffer p.Ast.volatile
+    (Thread_system.make p)
+
+(* States a store-buffer machine explores on [p]: at jobs 1, or on the
+   stealing engine over [pool]. *)
+let machine_states (module M : Store_buffer.MACHINE) ?pool p =
+  let stats = Explorer.create_stats () in
+  ignore
+    (match pool with
+    | None -> M.program_behaviours ~stats p
+    | Some pool -> par_machine ~stats ~pool (module M) p);
+  stats.Explorer.states
+
 (* Acceptance criterion: POR-reduced state counts match exactly across
-   jobs 1/2/4 on the full litmus corpus. *)
+   jobs 1/2/4 on the full litmus corpus.  The corpus-wide totals are
+   pinned, with the TSO and PSO machines' (unreduced) state counts at
+   jobs 1 and on the stealing engine. *)
 let test_corpus_por_parity () =
+  let programs = List.map Litmus.program Corpus.all in
+  let total f = List.fold_left (fun n p -> n + f p) 0 programs in
   List.iter
     (fun (t : Litmus.t) ->
       let p = Litmus.program t in
@@ -249,7 +270,21 @@ let test_corpus_por_parity () =
         Alcotest.failf
           "%s: reduced state counts differ across jobs (1:%d 2:%d 4:%d)"
           t.Litmus.name c1 c2 c4)
-    Corpus.all
+    Corpus.all;
+  check_i "corpus SC reduced states, jobs 1" 4612
+    (total (fun p -> Interp.count_states p));
+  check_i "corpus SC reduced states, stealing engine" 4612
+    (total (par_count_states ~pool:pool2));
+  List.iter
+    (fun (name, m, expected) ->
+      check_i ("corpus " ^ name ^ " states, jobs 1") expected
+        (total (machine_states m));
+      check_i ("corpus " ^ name ^ " states, stealing engine") expected
+        (total (machine_states m ~pool:pool2)))
+    [
+      ("TSO", (module Store_buffer.Tso : Store_buffer.MACHINE), 6592);
+      ("PSO", (module Store_buffer.Pso : Store_buffer.MACHINE), 6726);
+    ]
 
 (* --- stats aggregation ------------------------------------------------ *)
 
@@ -268,14 +303,9 @@ let test_stats_aggregation () =
     (par.Explorer.domains >= 2);
   check_i "sequential stats record no domains" 0 seq.Explorer.domains
 
-(* --- graph engine (TSO/PSO) ------------------------------------------ *)
+(* --- store-buffer machines (TSO/PSO) ------------------------------- *)
 
-module Store_buffer = Safeopt_model.Store_buffer
-
-let tso_graph p =
-  Store_buffer.Tso.graph p.Ast.volatile (Thread_system.make p)
-
-let test_graph_parallel () =
+let test_machines_parallel () =
   List.iter
     (fun (t : Litmus.t) ->
       let p = Litmus.program t in
@@ -283,14 +313,13 @@ let test_graph_parallel () =
         not
           (Behaviour.Set.equal
              (Safeopt_tso.Machine.program_behaviours p)
-             (Explorer.Parallel.graph_behaviours ~pool (tso_graph p)))
+             (par_machine ~pool (module Store_buffer.Tso) p))
       then Alcotest.failf "%s: parallel TSO behaviours differ" t.Litmus.name)
     (List.filteri (fun i _ -> i < 8) Corpus.all);
   let sb = Litmus.program Corpus.sb in
   Alcotest.check behaviour_set "parallel PSO behaviours equal sequential"
     (Safeopt_tso.Pso.program_behaviours sb)
-    (Explorer.Parallel.graph_behaviours ~pool
-       (Store_buffer.Pso.graph sb.Ast.volatile (Thread_system.make sb)))
+    (par_machine ~pool (module Store_buffer.Pso) sb)
 
 (* --- batch validation and the pipeline -------------------------------- *)
 
@@ -370,10 +399,9 @@ let test_parallel_route_steals () =
       ("behaviours", domains (fun stats -> par_behaviours ~stats ~pool p));
       ("count_states", domains (fun stats -> par_count_states ~stats ~pool p));
       ("race search", domains (fun stats -> par_find_race ~stats ~pool p));
-      ( "graph",
+      ( "machine",
         domains (fun stats ->
-            Explorer.Parallel.graph_behaviours ~stats ~pool (tso_graph p))
-      );
+            par_machine ~stats ~pool (module Store_buffer.Tso) p) );
     ]
 
 (* A pooled call on a corpus program never reaches [steal_after]: the
@@ -471,13 +499,15 @@ let test_budget_between () =
          Interp.count_states ~max_states:(c1 + 1) ~pool:pool2 p))
 
 (* A cycle found by the sequential first attempt is decisive, as a cycle
-   found by either engine always was. *)
+   found by either engine always was.  The system is one thread that
+   prints forever without changing its key, run under SC and on the TSO
+   machine. *)
 let test_cyclic_pooled () =
-  let g =
+  let spin =
     {
-      Explorer.graph_initial = 0;
-      graph_transitions = (fun st -> [ (None, (st + 1) mod 3) ]);
-      graph_digest = (fun st -> [ st ]);
+      System.initial = [ () ];
+      steps = (fun () -> [ System.Emit (Safeopt_trace.Action.External 1, ()) ]);
+      key = (fun () -> "spin");
     }
   in
   let cyclic f =
@@ -486,10 +516,19 @@ let test_cyclic_pooled () =
       false
     with Explorer.Cyclic -> true
   in
-  check_b "jobs 1 raises Cyclic" true
-    (cyclic (fun () -> Explorer.graph_behaviours g));
-  check_b "the pool raises Cyclic" true
-    (cyclic (fun () -> Explorer.graph_behaviours ~pool g))
+  List.iter
+    (fun (model, run) ->
+      check_b (model ^ ": jobs 1 raises Cyclic") true
+        (cyclic (fun () -> run None));
+      check_b (model ^ ": the pool raises Cyclic") true
+        (cyclic (fun () -> run (Some pool))))
+    [
+      ("SC", fun pool -> Explorer.behaviours ?pool spin);
+      ( "TSO",
+        fun pool ->
+          Store_buffer.Tso.behaviours ?pool Safeopt_trace.Location.Volatile.none
+            spin );
+    ]
 
 (* The [explorer.*] span names the engine that decided: "seq" for a
    pooled call on a small program, "par" on the stealing route, and
@@ -548,8 +587,8 @@ let () =
         ] );
       ( "aggregation",
         [ Alcotest.test_case "stats merge" `Slow test_stats_aggregation ] );
-      ( "graph engine",
-        [ Alcotest.test_case "tso/pso" `Slow test_graph_parallel ] );
+      ( "store buffer",
+        [ Alcotest.test_case "tso/pso" `Slow test_machines_parallel ] );
       ( "engine pick",
         [
           Alcotest.test_case "stealing route records domains" `Quick
