@@ -623,6 +623,16 @@ let explore_bench ~quick =
     done;
     stats.Explorer.states
   in
+  (* The SC race search, as every DRF verdict runs it: its row counts
+     the states [Interp.find_race] visits, so units/s is its state rate
+     (a racy program's search stops at its first race). *)
+  let race_run () =
+    let stats = Explorer.create_stats () in
+    for _ = 1 to reps do
+      List.iter (fun p -> ignore (Interp.find_race ~stats p)) programs
+    done;
+    stats.Explorer.states
+  in
   let experiments =
     [
       ("count_states", time (count_run false));
@@ -631,6 +641,7 @@ let explore_bench ~quick =
       ("behaviours_por", time (beh_run true));
       ("tso_behaviours", time (machine_run (module Sb.Tso)));
       ("pso_behaviours", time (machine_run (module Sb.Pso)));
+      ("race_search", time race_run);
     ]
   in
   (* POR soundness over the whole corpus (the acceptance criterion),

@@ -22,6 +22,7 @@ type stats = {
   mutable domains : int;
   mutable steals : int;
   mutable lock_waits : int;
+  mutable thread_states : int;
 }
 
 let create_stats () =
@@ -35,6 +36,7 @@ let create_stats () =
     domains = 0;
     steals = 0;
     lock_waits = 0;
+    thread_states = 0;
   }
 
 let reset_stats s =
@@ -46,7 +48,8 @@ let reset_stats s =
   s.wall <- 0.;
   s.domains <- 0;
   s.steals <- 0;
-  s.lock_waits <- 0
+  s.lock_waits <- 0;
+  s.thread_states <- 0
 
 let merge_stats ~into s =
   into.states <- into.states + s.states;
@@ -58,7 +61,8 @@ let merge_stats ~into s =
   into.wall <- into.wall +. s.wall;
   if s.domains > into.domains then into.domains <- s.domains;
   into.steals <- into.steals + s.steals;
-  into.lock_waits <- into.lock_waits + s.lock_waits
+  into.lock_waits <- into.lock_waits + s.lock_waits;
+  into.thread_states <- into.thread_states + s.thread_states
 
 (* The mutable record remains the per-worker accumulation cell (workers
    merge privately and join, no synchronisation in the hot loops), but
@@ -74,6 +78,7 @@ let publish ~into s =
   c "explorer.por_cuts" s.por_cuts;
   c "explorer.steals" s.steals;
   c "explorer.lock_waits" s.lock_waits;
+  c "explorer.thread_states" s.thread_states;
   let g name v = Metrics.record (Metrics.gauge into name) v in
   g "explorer.peak_frontier" (float_of_int s.peak_frontier);
   g "explorer.wall_s" s.wall;
@@ -101,6 +106,7 @@ let of_registry reg =
     domains = gmax "explorer.domains";
     steals = c "explorer.steals";
     lock_waits = c "explorer.lock_waits";
+    thread_states = c "explorer.thread_states";
   }
 
 let via_registry s =
@@ -112,8 +118,10 @@ let pp_stats ppf s =
   let s = via_registry s in
   Fmt.pf ppf
     "@[<v>exploration: %d states, %d transitions@ memo hits: %d, POR cuts: \
-     %d@ peak frontier depth: %d@ wall time: %.6f s"
-    s.states s.edges s.memo_hits s.por_cuts s.peak_frontier s.wall;
+     %d@ thread states compiled: %d@ peak frontier depth: %d@ wall time: \
+     %.6f s"
+    s.states s.edges s.memo_hits s.por_cuts s.thread_states s.peak_frontier
+    s.wall;
   if s.domains > 0 then
     Fmt.pf ppf "@ parallel: %d domains, %d steals, %d lock waits" s.domains
       s.steals s.lock_waits;
@@ -136,6 +144,7 @@ let delta_stats ~now ~before =
     domains = now.domains;
     steals = now.steals - before.steals;
     lock_waits = now.lock_waits - before.lock_waits;
+    thread_states = now.thread_states - before.thread_states;
   }
 
 (* In-flight tracking for the heartbeat sampler.
@@ -233,6 +242,7 @@ let observed name stats f =
                     ("edges", Ev.Int d.edges);
                     ("memo_hits", Ev.Int d.memo_hits);
                     ("por_cuts", Ev.Int d.por_cuts);
+                    ("thread_states", Ev.Int d.thread_states);
                     ( "intern_hit_rate",
                       Ev.Float
                         ((attempts -. float_of_int d.states) /. attempts) );
@@ -306,6 +316,96 @@ type ('ts, 'b) state = {
   locks_id : int;
 }
 
+(* ------------------------------------------------------------------ *)
+(* Compiled thread steps                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A thread's next steps depend only on its own state and, for a read,
+   on the value it reads; [System.key] promises that equal keys have
+   equal futures.  So a thread state's steps are compiled once per
+   exploration, under its interned key, and every scheduler state that
+   holds a thread with that key reuses them.
+
+   A successor is kept with its own interned key, built the first time
+   a search follows the step ([kid] is -1 until then): the key of a
+   step that a persistent set or a sleep set cuts is never built, and a
+   followed one is built once however many global states follow it.
+   A read's answers are kept per read value as the scheduler asks
+   (including a decline), with their labels, and likewise an RMW's
+   outcomes. *)
+type 'ts next = { next : 'ts; mutable kid : int }
+
+(* A function of the value read, asked at most once per value. *)
+type 'a by_value = {
+  ask : Value.t -> 'a;
+  mutable seen : (Value.t * 'a) list;
+}
+
+let rec lookup v = function
+  | [] -> None
+  | (v', a) :: rest -> if Value.equal v v' then Some a else lookup v rest
+
+let at q v =
+  match lookup v q.seen with
+  | Some a -> a
+  | None ->
+      let a = q.ask v in
+      q.seen <- (v, a) :: q.seen;
+      a
+
+type 'ts compiled =
+  | Emit of Action.t * 'ts next
+  | Read of Location.t * (Action.t * 'ts next) option by_value
+  | Rmw of Location.t * (Value.t * Action.t * 'ts next) list by_value
+
+let successor ts = { next = ts; kid = -1 }
+
+let compile = function
+  | System.Emit (Action.Read _, _) ->
+      invalid_arg "Explorer: reads must use System.Read steps"
+  | System.Emit (Action.Rmw _, _) ->
+      invalid_arg "Explorer: RMWs must use System.Rmw steps"
+  | System.Emit (a, ts') -> Emit (a, successor ts')
+  | System.Read (l, read) ->
+      let ask v =
+        Option.map (fun ts' -> (Action.Read (l, v), successor ts')) (read v)
+      in
+      Read (l, { ask; seen = [] })
+  | System.Rmw (l, rmw) ->
+      let ask v =
+        List.map
+          (fun (w, ts') -> (w, Action.Rmw (l, v, w), successor ts'))
+          (rmw v)
+      in
+      Rmw (l, { ask; seen = [] })
+
+(* The memo: thread key id -> compiled steps, in an array that grows
+   to the largest id seen.  The only caller of [System.steps]; each
+   compile counts one [thread_states] into [s].  Compiled entries are
+   mutated as reads are answered, so a table belongs to one domain: the
+   sequential engines own one, and each worker of the stealing engine
+   its own (see [for_worker]). *)
+let memo_steps (sys : 'ts System.t) (s : stats) =
+  let tbl = ref [||] in
+  fun kid ts ->
+    let t = !tbl in
+    match if kid < Array.length t then t.(kid) else None with
+    | Some steps -> steps
+    | None ->
+        let steps = List.map compile (sys.System.steps ts) in
+        s.thread_states <- s.thread_states + 1;
+        let t =
+          if kid < Array.length t then t
+          else begin
+            let t' = Array.make (max (2 * Array.length t) (kid + 64)) None in
+            Array.blit t 0 t' 0 (Array.length t);
+            tbl := t';
+            t'
+          end
+        in
+        t.(kid) <- Some steps;
+        steps
+
 (* The interning context is a record of closures so the sequential
    engine (plain [Hashtbl]s, no synchronisation) and the parallel
    engine (striped tables from {!Par}) share every function below
@@ -314,6 +414,8 @@ type ('ts, 'b) state = {
 type ('ts, 'b) ctx = {
   sys : 'ts System.t;
   memory : 'b memory;
+  steps : int -> 'ts -> 'ts compiled list;
+      (** a thread state's compiled steps, by its interned key *)
   tkey : string -> int;  (** thread-state keys *)
   lkey : string -> int;  (** locations *)
   mkey : string -> int;  (** monitors *)
@@ -332,8 +434,10 @@ type ('ts, 'b) ctx = {
    parallel one ([striped = true]) the striped tables, safe to call from
    any domain of a pool.  Striped ids come from atomic counters, so
    their numeric order varies across runs; they are only used for
-   equality. *)
-let make_ctx (type b) ~striped (memory : b memory) sys : (_, b) ctx =
+   equality.  [stats] receives the [thread_states] of the context's
+   memo; a worker of the stealing engine swaps in its own memo
+   ([for_worker]). *)
+let make_ctx (type b) ~striped ~stats (memory : b memory) sys : (_, b) ctx =
   let names () =
     if striped then Par.Intern.id (Par.Intern.create ())
     else Intern.id (Intern.create ())
@@ -348,6 +452,7 @@ let make_ctx (type b) ~striped (memory : b memory) sys : (_, b) ctx =
   {
     sys;
     memory;
+    steps = memo_steps sys stats;
     tkey = names ();
     lkey;
     mkey = names ();
@@ -364,6 +469,8 @@ let make_ctx (type b) ~striped (memory : b memory) sys : (_, b) ctx =
         Par.Ptbl.words mems + Par.Ptbl.words lockts + Par.Ptbl.words bufs
         + Par.Ptbl.words ids);
   }
+
+let for_worker ctx stats = { ctx with steps = memo_steps ctx.sys stats }
 
 let intern_mem ctx mem =
   let parts =
@@ -411,13 +518,15 @@ let state_id ctx st = ctx.ids (state_digest st)
 let read_value st l =
   Option.value ~default:Value.default (Location.Map.find_opt l st.mem)
 
-(* [st] with thread [tid] moved to [ts']: the one place a thread key is
-   built. *)
-let set_thread ctx st tid ts' =
+(* [st] with thread [tid] moved to the compiled successor [n]: the one
+   place a thread key is built past the initial state, once per
+   compiled successor. *)
+let set_thread ctx st tid n =
+  if n.kid < 0 then n.kid <- ctx.tkey (ctx.sys.System.key n.next);
   let threads = Array.copy st.threads in
-  threads.(tid) <- ts';
+  threads.(tid) <- n.next;
   let tkeys = Array.copy st.tkeys in
-  tkeys.(tid) <- ctx.tkey (ctx.sys.System.key ts');
+  tkeys.(tid) <- n.kid;
   { st with threads; tkeys }
 
 let set_buffer ctx st tid buf =
@@ -487,13 +596,15 @@ type ('ts, 'b) succ = Thread_id.t * Action.t * (unit -> ('ts, 'b) state)
    step order — witness searches depend on this order being stable.
    Under a buffered memory a thread's drains come before its steps.
 
-   Whether a transition is enabled and its label are decided here,
-   eagerly: a read's value, the thread's answer to it, the monitor
-   table's owner check, the buffer's emptiness.  The successor — a
-   copied thread array, the stepping thread's key, an interned memory,
-   monitor table or buffer — is a closure: reductions cut many
-   transitions by label alone (persistent sets, sleep sets, the race
-   check against a state's enabled set), and those are never built. *)
+   A thread's steps come from the memo by its key ([ctx.steps]), and a
+   read's answer from its compiled step; what depends on the global
+   state is decided here, eagerly: the read value, the monitor table's
+   owner check, the buffer's emptiness.  The successor — a copied
+   thread array, an interned memory, monitor table or buffer, and the
+   stepping thread's key on its first follow — is a closure: reductions
+   cut many transitions by label alone (persistent sets, sleep sets,
+   the race check against a state's enabled set), and those are never
+   built. *)
 let enabled ctx st : _ succ list =
   let out = ref [] in
   Array.iteri
@@ -503,32 +614,23 @@ let enabled ctx st : _ succ list =
       List.iter
         (fun step ->
           match step with
-          | System.Read (l, k) -> (
-              let v = load ctx st tid l in
-              match k v with
-              | Some ts' ->
-                  add (Action.Read (l, v)) (fun () -> set_thread ctx st tid ts')
+          | Read (l, q) -> (
+              match at q (load ctx st tid l) with
+              | Some (a, n) -> add a (fun () -> set_thread ctx st tid n)
               | None -> ())
-          | System.Rmw (l, k) ->
+          | Rmw (l, q) ->
               if flushed ctx st tid then
-                let v = read_value st l in
                 List.iter
-                  (fun (w, ts') ->
-                    add
-                      (Action.Rmw (l, v, w))
-                      (fun () ->
+                  (fun (w, a, n) ->
+                    add a (fun () ->
                         set_thread ctx
                           (with_mem ctx st (Location.Map.add l w st.mem))
-                          tid ts'))
-                  (k v)
-          | System.Emit (a, ts') -> (
-              let commit f = add a (fun () -> set_thread ctx (f ()) tid ts') in
+                          tid n))
+                  (at q (read_value st l))
+          | Emit (a, n) -> (
+              let commit f = add a (fun () -> set_thread ctx (f ()) tid n) in
               let relock locks () = with_locks ctx st locks in
               match a with
-              | Action.Read _ ->
-                  invalid_arg "Explorer: reads must use System.Read steps"
-              | Action.Rmw _ ->
-                  invalid_arg "Explorer: RMWs must use System.Rmw steps"
               | Action.Write (l, v) -> Option.iter commit (store ctx st tid l v)
               | (Action.Lock _ | Action.Unlock _) when not (flushed ctx st tid)
                 ->
@@ -548,8 +650,10 @@ let enabled ctx st : _ succ list =
                            (if d = 1 then Monitor.Map.remove m st.locks
                             else Monitor.Map.add m (tid, d - 1) st.locks))
                   | _ -> ())
-              | Action.External _ | Action.Start _ -> commit (fun () -> st)))
-        (ctx.sys.System.steps ts))
+              | Action.External _ | Action.Start _ -> commit (fun () -> st)
+              | Action.Read _ | Action.Rmw _ ->
+                  assert false (* rejected by [compile] *)))
+        (ctx.steps st.tkeys.(tid) ts))
     st.threads;
   List.rev !out
 
@@ -652,7 +756,7 @@ let select ~local (s : stats) succs =
 let explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
     ~(label : Action.t -> r -> r) ~max_states ~local ~stats memory sys =
   let s = sink stats in
-  let ctx = make_ctx ~striped:false memory sys in
+  let ctx = make_ctx ~striped:false ~stats:s memory sys in
   let memo : (int, sleeper list * r) Hashtbl.t = Hashtbl.create 997 in
   let on_stack : (int, unit) Hashtbl.t = Hashtbl.create 97 in
   let count = ref 0 in
@@ -899,9 +1003,10 @@ type pmeta = {
 let par_explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
     ~(label : Action.t -> r -> r) ~pool ~max_states ~local ~stats memory sys =
   let s = sink stats in
-  let ctx = make_ctx ~striped:true memory sys in
+  let ctx = make_ctx ~striped:true ~stats:s memory sys in
   let nw = Par.Pool.size pool in
   let wstats = Array.init nw (fun _ -> create_stats ()) in
+  let wctx = Array.map (for_worker ctx) wstats in
   track_wstats wstats;
   Fun.protect ~finally:(fun () -> untrack_wstats wstats) @@ fun () ->
   let reduce = Option.is_some local in
@@ -953,7 +1058,7 @@ let par_explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
       Tracer.close_span ~attrs:[ ("states", Ev.Int (Atomic.get total)) ] sp)
     (fun () ->
       Par.Pool.run pool (fun w ->
-          let s = wstats.(w) in
+          let s = wstats.(w) and ctx = wctx.(w) in
           let on_wait, on_steal, on_peak = ws_hooks s in
           Par.Ws.run ws w ~on_wait ~on_steal ~on_peak
             (fun (st, d, m, version, sleep) push ->
@@ -1117,7 +1222,7 @@ let count_states ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
 
 let maximal_executions_seq ?(max_steps = 1_000_000) ?stats sys =
   let s = sink stats in
-  let ctx = make_ctx ~striped:false Sc sys in
+  let ctx = make_ctx ~striped:false ~stats:s Sc sys in
   let steps = ref 0 in
   let rec go st rev_path : Interleaving.t Seq.t =
    fun () ->
@@ -1135,15 +1240,15 @@ let maximal_executions_seq ?(max_steps = 1_000_000) ?stats sys =
   go (initial ctx) []
 
 let maximal_executions ?max_steps ?stats sys =
-  observed "explorer.executions" stats (fun _ _ ->
-      List.of_seq (maximal_executions_seq ?max_steps ?stats:None sys))
+  observed "explorer.executions" stats (fun _ stats ->
+      List.of_seq (maximal_executions_seq ?max_steps ?stats sys))
 
 let count_executions ?max_steps ?stats sys =
-  observed "explorer.executions" stats (fun _ _ ->
+  observed "explorer.executions" stats (fun _ stats ->
       Seq.fold_left
         (fun n _ -> n + 1)
         0
-        (maximal_executions_seq ?max_steps ?stats:None sys))
+        (maximal_executions_seq ?max_steps ?stats sys))
 
 (* ------------------------------------------------------------------ *)
 (* Witness searches                                                    *)
@@ -1152,7 +1257,7 @@ let count_executions ?max_steps ?stats sys =
 (* wall time and telemetry are handled by [observed] in the entry point *)
 let seq_find_adjacent_race ~max_states ~local ?stats vol sys =
   let s = sink stats in
-  let ctx = make_ctx ~striped:false Sc sys in
+  let ctx = make_ctx ~striped:false ~stats:s Sc sys in
   (* A state's enabled labels are needed both when it is visited and
      for the adjacent-race check on every incoming edge: keep them by
      state id.  Only labels are kept, never the successor closures, so
@@ -1225,16 +1330,17 @@ let seq_find_adjacent_race ~max_states ~local ?stats vol sys =
    parallel runs), as any adjacent race is a valid witness. *)
 let par_find_adjacent_race ~pool ~max_states ~local ?stats vol sys =
   let s = sink stats in
-  let ctx = make_ctx ~striped:true Sc sys in
+  let ctx = make_ctx ~striped:true ~stats:s Sc sys in
   let nw = Par.Pool.size pool in
   let wstats = Array.init nw (fun _ -> create_stats ()) in
+  let wctx = Array.map (for_worker ctx) wstats in
   track_wstats wstats;
   Fun.protect ~finally:(fun () -> untrack_wstats wstats) @@ fun () ->
   let enabled_lbls : (int * (Thread_id.t * Action.t) list) list array =
     Array.make nw []
   in
   let expand w id st =
-    let succs = enabled ctx st in
+    let succs = enabled wctx.(w) st in
     if Option.is_some local then
       enabled_lbls.(w) <-
         (id, List.map (fun (tid, a, _) -> (tid, a)) succs) :: enabled_lbls.(w);
@@ -1310,7 +1416,7 @@ let is_drf ?max_states ?stats ?jobs ?pool vol sys =
 let find_deadlock ?(max_states = default_max_states) ?stats sys =
   observed "explorer.deadlock" stats (fun _ stats ->
       let s = sink stats in
-      let ctx = make_ctx ~striped:false Sc sys in
+      let ctx = make_ctx ~striped:false ~stats:s Sc sys in
       let visited : (int, unit) Hashtbl.t = Hashtbl.create 997 in
       let count = ref 0 in
       let exception Found of Interleaving.t in
@@ -1325,9 +1431,9 @@ let find_deadlock ?(max_states = default_max_states) ?stats sys =
           match enabled ctx st with
           | [] ->
               let blocked =
-                Array.exists
-                  (fun ts -> ctx.sys.System.steps ts <> [])
-                  st.threads
+                Array.exists2
+                  (fun kid ts -> ctx.steps kid ts <> [])
+                  st.tkeys st.threads
               in
               if blocked then raise (Found (List.rev rev_path))
           | succs ->
@@ -1350,7 +1456,7 @@ let find_deadlock ?(max_states = default_max_states) ?stats sys =
 (* ------------------------------------------------------------------ *)
 
 let sample_runs ?(max_actions = 10_000) ~seed ~runs sys =
-  let ctx = make_ctx ~striped:false Sc sys in
+  let ctx = make_ctx ~striped:false ~stats:(create_stats ()) Sc sys in
   Seq.init runs (fun run ->
       (* one generator per run, so the stream is re-evaluable and a
          consumer may stop after any prefix without changing the rest *)

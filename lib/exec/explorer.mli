@@ -9,7 +9,7 @@
     one enabled-set function, one sequential and one work-stealing
     engine.
 
-    Three properties distinguish it from a naive search:
+    Four properties distinguish it from a naive search:
 
     - {b Hash-consed states.}  Scheduler states are digested to compact
       int tuples: thread-state keys are interned once per distinct
@@ -17,6 +17,16 @@
       interned once per distinct value, and the memo/visited tables are
       keyed on the resulting digest.  Successor states update only the
       digest component their action touches.
+
+    - {b Thread steps compiled once.}  A thread's next steps depend
+      only on its own state (and a read's on the value read), so each
+      distinct thread key's steps ({!System.t}) are compiled once per
+      exploration and reused by every scheduler state holding it, with
+      each read's answer kept per value.  A successor's thread key is
+      built when a search first follows the step, never for a
+      transition the reduction cuts.  The stealing engine keeps one
+      such memo per worker.  [stats.thread_states] counts the
+      compilations.
 
     - {b Sleep-set partial-order reduction.}  When a [local] predicate
       is supplied, exploration combines persistent-set selection with
@@ -62,6 +72,10 @@ type stats = {
       (** genuine starvation parks across workers: a worker slept on
           the scheduler's condition variable and woke to more work
           (termination and abort wakeups are not counted) *)
+  mutable thread_states : int;
+      (** distinct thread states whose steps were compiled: one per
+          thread key per exploration, and in the stealing engine one
+          per thread key per worker *)
 }
 
 val create_stats : unit -> stats
@@ -152,8 +166,10 @@ val independent : Thread_id.t * Action.t -> Thread_id.t * Action.t -> bool
     exist, and under reduction the stealing engine's [edges]/[por_cuts]
     {e work} counters may exceed the sequential figures (sleep-set
     refinements re-expand a state; the state and result sets are
-    unaffected).  {!Parallel} runs the stealing engine unconditionally,
-    for the parity tests and benchmarks that must exercise it. *)
+    unaffected), and its [thread_states] may too (each worker compiles
+    the thread states it meets into its own memo).  {!Parallel} runs
+    the stealing engine unconditionally, for the parity tests and
+    benchmarks that must exercise it. *)
 
 val steal_after : int
 (** The state count past which a pooled call hands its exploration to

@@ -33,8 +33,15 @@ type 'ts step =
 type 'ts t = {
   initial : 'ts list;  (** One state per thread; index = thread id. *)
   steps : 'ts -> 'ts step list;
-      (** Thread-local possibilities from a state. *)
+      (** Thread-local possibilities from a state.  The explorer calls
+          it once per distinct key per exploration (the stealing engine
+          once per key per worker) and reuses the compiled steps for
+          every scheduler state holding a thread with that key; it
+          likewise asks a [Read] or [Rmw] continuation once per value. *)
   key : 'ts -> string;
       (** A canonical key for memoisation: two states with the same key
-          must have the same future. *)
+          must have the same future — the same steps, and the same
+          answers to every value.  The explorer builds a successor's
+          key when a search first follows the step to it, never for a
+          step the reduction cuts. *)
 }

@@ -4,8 +4,15 @@ open Safeopt_lang
 
 module type BUFFER = Explorer.BUFFER
 
-(* Drop the last (oldest) element of a newest-first list. *)
-let drop_oldest l = List.filteri (fun i _ -> i < List.length l - 1) l
+(* The last (oldest) element of a newest-first list and the list
+   without it, in one traversal. *)
+let rec split_oldest = function
+  | [] -> None
+  | [ oldest ] -> Some (oldest, [])
+  | x :: rest -> (
+      match split_oldest rest with
+      | Some (oldest, rest') -> Some (oldest, x :: rest')
+      | None -> None)
 
 module Tso_buffer = struct
   type t = (Location.t * Value.t) list (* newest first *)
@@ -18,12 +25,8 @@ module Tso_buffer = struct
   let forward b l =
     Option.map snd (List.find_opt (fun (l', _) -> Location.equal l l') b)
 
-  let drains = function
-    | [] -> []
-    | b -> (
-        match List.rev b with
-        | oldest :: _ -> [ (oldest, drop_oldest b) ]
-        | [] -> [])
+  let drains b =
+    match split_oldest b with None -> [] | Some drain -> [ drain ]
 
   let digest intern b =
     List.concat_map (fun (l, v) -> [ intern l; v ]) b
@@ -45,10 +48,9 @@ module Pso_buffer = struct
   let drains b =
     Location.Map.fold
       (fun l vs acc ->
-        match List.rev vs with
-        | [] -> acc
-        | oldest :: _ ->
-            let vs' = drop_oldest vs in
+        match split_oldest vs with
+        | None -> acc
+        | Some (oldest, vs') ->
             let b' =
               if vs' = [] then Location.Map.remove l b
               else Location.Map.add l vs' b

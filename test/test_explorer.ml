@@ -183,6 +183,25 @@ let test_stats_consistent () =
         (f'.Explorer.memo_hits <= f'.Explorer.edges))
     (corpus_programs ())
 
+(* The execution streams count their transitions into the caller's
+   record: every maximal execution of [sb_ts] runs 8 actions, and the
+   executions share their prefixes' transitions. *)
+let test_execution_stats () =
+  let sys = Traceset_system.make sb_ts in
+  let s = Explorer.create_stats () in
+  let execs = Explorer.maximal_executions ~stats:s sys in
+  let edges = s.Explorer.edges in
+  check
+    (Printf.sprintf "maximal_executions counts edges (8 <= %d <= 8 * %d)" edges
+       (List.length execs))
+    true
+    (edges >= 8 && edges <= 8 * List.length execs);
+  let s' = Explorer.create_stats () in
+  Alcotest.(check int) "count_executions agrees" (List.length execs)
+    (Explorer.count_executions ~stats:s' sys);
+  Alcotest.(check int) "both streams count the same edges" s.Explorer.edges
+    s'.Explorer.edges
+
 (* Counters are monotone: re-running on the same sink only grows them. *)
 let test_stats_monotone () =
   let p = Litmus.program Corpus.sb in
@@ -275,6 +294,8 @@ let () =
           Alcotest.test_case "monotone and resettable" `Quick
             test_stats_monotone;
           Alcotest.test_case "TSO graph stats" `Quick test_graph_stats;
+          Alcotest.test_case "executions count edges" `Quick
+            test_execution_stats;
         ] );
       ( "por",
         [

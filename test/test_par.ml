@@ -286,6 +286,82 @@ let test_corpus_por_parity () =
       ("PSO", (module Store_buffer.Pso : Store_buffer.MACHINE), 6726);
     ]
 
+(* [sys] counting its [steps] calls per (domain, thread key). *)
+let counting_steps (sys : 'ts System.t) =
+  let mu = Mutex.create () in
+  let calls : (Domain.id * string, int) Hashtbl.t = Hashtbl.create 64 in
+  let steps ts =
+    let k = (Domain.self (), sys.System.key ts) in
+    Mutex.protect mu (fun () ->
+        Hashtbl.replace calls k
+          (1 + Option.value ~default:0 (Hashtbl.find_opt calls k)));
+    sys.System.steps ts
+  in
+  ({ sys with System.steps }, calls)
+
+(* One exploration of a fresh counting copy of [sys]: [steps] ran once
+   per thread key on each domain that asked (one at jobs 1, one per
+   worker on the stealing engine), and [thread_states] counts those
+   compilations. *)
+let steps_once name explore sys =
+  let counted, calls = counting_steps sys in
+  let stats = Explorer.create_stats () in
+  let r = explore ~stats counted in
+  Hashtbl.iter
+    (fun (_, key) n ->
+      if n <> 1 then Alcotest.failf "%s: steps of %s ran %d times" name key n)
+    calls;
+  check_i (name ^ ": thread_states counts the compilations")
+    (Hashtbl.length calls) stats.Explorer.thread_states;
+  check_b (name ^ ": something compiled") true (Hashtbl.length calls > 0);
+  r
+
+(* A thread state's steps are compiled once per exploration, on every
+   engine, for both kinds of thread system; memoising them moves no
+   behaviour, state count or race verdict. *)
+let test_steps_once () =
+  let both name ?local sys =
+    let run engine f = steps_once (name ^ " " ^ engine) f sys in
+    check_b (name ^ ": behaviours agree") true
+      (Behaviour.Set.equal
+         (run "behaviours, jobs 1" (fun ~stats s ->
+              Explorer.behaviours ?local ~stats s))
+         (run "behaviours, stealing" (fun ~stats s ->
+              Explorer.Parallel.behaviours ?local ~stats ~pool:pool2 s)));
+    check_i (name ^ ": count_states agree")
+      (run "count_states, jobs 1" (fun ~stats s ->
+           Explorer.count_states ?local ~stats s))
+      (run "count_states, stealing" (fun ~stats s ->
+           Explorer.Parallel.count_states ?local ~stats ~pool:pool2 s))
+  in
+  List.iter
+    (fun (t : Litmus.t) ->
+      let p = Litmus.program t and name = t.Litmus.name in
+      let sys = Thread_system.make p in
+      both name sys;
+      both (name ^ " (reduced)") ~local:(Thread_system.local_actions p) sys;
+      let drf engine f =
+        Option.is_none
+          (steps_once (name ^ " race search, " ^ engine)
+             (fun ~stats s -> f ~stats p.Ast.volatile s)
+             sys)
+      in
+      check_b (name ^ ": race verdicts agree")
+        (drf "jobs 1" (fun ~stats v s ->
+             Explorer.find_adjacent_race ~stats v s))
+        (drf "stealing" (fun ~stats v s ->
+             Explorer.Parallel.find_adjacent_race ~stats ~pool:pool2 v s)))
+    [ Corpus.sb; Corpus.mp_locked; Corpus.atomic_faa_counter ];
+  List.iter
+    (fun (name, ts) -> both name (Traceset_system.make ts))
+    [
+      ("fig2 original traceset", fig2_original_traceset);
+      ("fig2 transformed traceset", fig2_transformed_traceset);
+      ( "sb traceset",
+        Denote.traceset ~universe:[ 0; 1 ] ~max_len:6
+          (Litmus.program Corpus.sb) );
+    ]
+
 (* --- stats aggregation ------------------------------------------------ *)
 
 let test_stats_aggregation () =
@@ -584,6 +660,8 @@ let () =
           qcheck_jobs_parity;
           Alcotest.test_case "corpus POR count parity" `Slow
             test_corpus_por_parity;
+          Alcotest.test_case "steps compiled once per thread key" `Quick
+            test_steps_once;
         ] );
       ( "aggregation",
         [ Alcotest.test_case "stats merge" `Slow test_stats_aggregation ] );

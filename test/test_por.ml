@@ -138,41 +138,72 @@ let private_work =
      thread { b1 := 1; b2 := 2; b3 := 3; lock m; r2 := c; c := r2; unlock m; \
      b1 := r2; }"
 
-(* Successors are built lazily: a reduced exploration computes a thread
-   key for each initial thread and each followed edge, never for a
-   transition the persistent set or a sleep set cuts. *)
+(* Successors are built lazily and keyed once: a reduced exploration
+   builds a thread key for each initial thread and at most one per
+   followed (thread key, step, read value), never for a transition the
+   persistent set or a sleep set cuts.  Each successor of the counting
+   system carries the step that made it, so the test can tell which
+   step each key was built for. *)
 let test_lazy_successors () =
   let sys = Thread_system.make heavy in
-  let calls = ref 0 in
+  let key = sys.System.key in
+  let steps (_, ts) =
+    let parent = key ts in
+    List.mapi
+      (fun i step ->
+        let made v j ts' = (Some (parent, i, v, j), ts') in
+        match step with
+        | System.Emit (a, ts') -> System.Emit (a, made None 0 ts')
+        | System.Read (l, k) ->
+            System.Read (l, fun v -> Option.map (made (Some v) 0) (k v))
+        | System.Rmw (l, k) ->
+            System.Rmw
+              ( l,
+                fun v ->
+                  List.mapi (fun j (w, ts') -> (w, made (Some v) j ts')) (k v)
+              ))
+      (sys.System.steps ts)
+  in
+  let keyed = ref [] in
   let counted =
     {
-      sys with
-      Safeopt_exec.System.key =
-        (fun ts ->
-          incr calls;
-          sys.Safeopt_exec.System.key ts);
+      System.initial = List.map (fun ts -> (None, ts)) sys.System.initial;
+      steps;
+      key =
+        (fun (made, ts) ->
+          keyed := made :: !keyed;
+          key ts);
     }
   in
-  let s = Safeopt_exec.Explorer.create_stats () in
+  let s = Explorer.create_stats () in
   let b =
-    Safeopt_exec.Explorer.behaviours
-      ~local:(Thread_system.local_actions heavy)
-      ~stats:s counted
+    Explorer.behaviours ~local:(Thread_system.local_actions heavy) ~stats:s
+      counted
   in
   Alcotest.check behaviour_set "the counting system explores as Interp"
     (Interp.behaviours heavy) b;
-  let edges = s.Safeopt_exec.Explorer.edges
-  and cuts = s.Safeopt_exec.Explorer.por_cuts in
+  let edges = s.Explorer.edges and cuts = s.Explorer.por_cuts in
+  let calls = List.length !keyed in
+  let followed = List.filter_map Fun.id !keyed in
   check_b "the reduction cuts transitions" true (cuts > 0);
   Alcotest.(check int)
-    "one key per initial thread and per followed edge"
-    (List.length sys.Safeopt_exec.System.initial + edges)
-    !calls;
+    "one key per initial thread"
+    (List.length sys.System.initial)
+    (calls - List.length followed);
+  Alcotest.(check int)
+    "at most one key per followed (thread key, step, read value)"
+    (List.length followed)
+    (List.length (List.sort_uniq compare followed));
+  check_b
+    (Printf.sprintf "no more keys than followed edges (%d <= %d)"
+       (List.length followed) edges)
+    true
+    (List.length followed <= edges);
   check_b
     (Printf.sprintf "fewer keys than enabled transitions (%d < %d + %d)"
-       !calls edges cuts)
+       calls edges cuts)
     true
-    (!calls < edges + cuts)
+    (calls < edges + cuts)
 
 let test_race_search_cuts () =
   let reduced = Safeopt_exec.Explorer.create_stats () in
