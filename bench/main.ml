@@ -15,6 +15,8 @@ open Safeopt_litmus
 module Obs = Safeopt_obs
 module Bench = Obs.Bench
 module Json = Obs.Json
+module Model = Safeopt_model.Memory_model
+module Robustness = Safeopt_model.Robustness
 
 let vol0 = Location.Volatile.none
 
@@ -378,61 +380,54 @@ let e11 () =
   Bench.claim "23 never appears out of thin air across the corpus" ok
 
 (* ------------------------------------------------------------------ *)
-(* E12: TSO                                                            *)
+(* E12-E13: TSO and PSO (section 8 and its outlook)                    *)
 (* ------------------------------------------------------------------ *)
 
-let e12 () =
-  Bench.section "E12: section 8 — TSO explained by the transformations";
-  Fmt.pr "  %-18s %-24s %-10s %s@." "test" "weak behaviours" "explained"
-    "drf";
-  List.iter
-    (fun t ->
-      let p = Litmus.program t in
-      let weak = Safeopt_tso.Machine.weak_behaviours p in
-      let _, _, expl = Safeopt_tso.Machine.explained_by_transformations p in
-      Fmt.pr "  %-18s %-24s %-10b %b@." t.Litmus.name
-        (Fmt.str "%a" Behaviour.Set.pp weak)
-        expl (Interp.is_drf p))
-    [
-      Corpus.sb;
-      Corpus.lb;
-      Corpus.mp;
-      Corpus.mp_volatile;
-      Corpus.mp_locked;
-      Corpus.corr;
-      Corpus.fig3_a;
-      Corpus.dekker_volatile;
-    ];
+let e12_e13 () =
+  Bench.section
+    "E12-E13: section 8 — TSO and PSO explained by the transformations";
+  Fmt.pr "  %-16s %-6s %-24s %-12s %-10s %s@." "test" "model" "weak behaviours"
+    "beyond-tso" "explained" "drf";
+  let rows =
+    List.concat_map
+      (fun m ->
+        List.map
+          (fun t ->
+            let p = Litmus.program t in
+            let under_m, _, expl =
+              Portability.explained_by_transformations m p
+            in
+            let minus m' =
+              Behaviour.Set.diff under_m (Model.behaviours m' p)
+            in
+            let weak = minus Model.Sc and beyond = minus Model.Tso in
+            Fmt.pr "  %-16s %-6s %-24s %-12s %-10b %b@." t.Litmus.name
+              (Model.name m)
+              (Fmt.str "%a" Behaviour.Set.pp weak)
+              (Fmt.str "%a" Behaviour.Set.pp beyond)
+              expl (Interp.is_drf p);
+            ((m, t.Litmus.name), (weak, beyond, expl)))
+          [
+            Corpus.sb;
+            Corpus.lb;
+            Corpus.mp;
+            Corpus.mp_volatile;
+            Corpus.mp_locked;
+            Corpus.corr;
+            Corpus.fig3_a;
+            Corpus.dekker_volatile;
+          ])
+      [ Model.Tso; Model.Pso ]
+  in
+  let row m (t : Litmus.t) = List.assoc (m, t.Litmus.name) rows in
   Bench.claim "SB exhibits exactly the 0,0 weakness"
-    (Behaviour.Set.equal
-       (Safeopt_tso.Machine.weak_behaviours (Litmus.program Corpus.sb))
-       (Behaviour.Set.singleton [ 0; 0 ]))
-
-(* ------------------------------------------------------------------ *)
-(* E13: PSO (other memory models, section 8's outlook)                 *)
-(* ------------------------------------------------------------------ *)
-
-let e13 () =
-  Bench.section "E13: PSO — per-location store buffers (extension)";
-  Fmt.pr "  %-14s %-16s %-18s %s@." "test" "pso-weak" "beyond-tso" "explained";
-  List.iter
-    (fun t ->
-      let p = Litmus.program t in
-      let weak = Safeopt_tso.Pso.weak_behaviours p in
-      let beyond = Safeopt_tso.Pso.weak_beyond_tso p in
-      let _, _, expl = Safeopt_tso.Pso.explained_by_transformations p in
-      Fmt.pr "  %-14s %-16s %-18s %b@." t.Litmus.name
-        (Fmt.str "%a" Behaviour.Set.pp weak)
-        (Fmt.str "%a" Behaviour.Set.pp beyond)
-        expl)
-    [ Corpus.sb; Corpus.mp; Corpus.lb; Corpus.corr; Corpus.mp_volatile ];
+    (let weak, _, _ = row Model.Tso Corpus.sb in
+     Behaviour.Set.equal weak (Behaviour.Set.singleton [ 0; 0 ]));
   Bench.claim "PSO weakens MP (write-write reordering), beyond TSO"
-    (Behaviour.Set.mem [ 0 ]
-       (Safeopt_tso.Pso.weak_beyond_tso (Litmus.program Corpus.mp)));
+    (let _, beyond, _ = row Model.Pso Corpus.mp in
+     Behaviour.Set.mem [ 0 ] beyond);
   Bench.claim "MP's PSO weakness is explained by R-WW (+R-WR, E-RAW)"
-    (let _, _, e =
-       Safeopt_tso.Pso.explained_by_transformations (Litmus.program Corpus.mp)
-     in
+    (let _, _, e = row Model.Pso Corpus.mp in
      e)
 
 (* ------------------------------------------------------------------ *)
@@ -446,17 +441,17 @@ let e14 () =
   List.iter
     (fun t ->
       let p = Litmus.program t in
-      let p', promoted = Safeopt_tso.Robustness.enforce p in
+      let p', promoted = Robustness.enforce p in
       Fmt.pr "  %-14s %-20s %b@." t.Litmus.name
         (if promoted = [] then "(already DRF)"
          else String.concat ", " promoted)
-        (Safeopt_tso.Robustness.is_robust p'))
+        (Robustness.is_robust p'))
     [ Corpus.sb; Corpus.mp; Corpus.lb; Corpus.mp_locked ];
   Bench.claim "every enforced corpus program is TSO-robust"
     (List.for_all
        (fun t ->
-         let p', _ = Safeopt_tso.Robustness.enforce (Litmus.program t) in
-         Safeopt_tso.Robustness.is_robust p')
+         let p', _ = Robustness.enforce (Litmus.program t) in
+         Robustness.is_robust p')
        Corpus.all)
 
 (* ------------------------------------------------------------------ *)
@@ -615,11 +610,10 @@ let explore_bench ~quick =
   in
   (* The store-buffer machines: their rows count explored states, so
      units/s is the machine's state rate. *)
-  let module Sb = Safeopt_model.Store_buffer in
-  let machine_run (module M : Sb.MACHINE) () =
+  let machine_run m () =
     let stats = Explorer.create_stats () in
     for _ = 1 to reps do
-      List.iter (fun p -> ignore (M.program_behaviours ~stats p)) programs
+      List.iter (fun p -> ignore (Model.behaviours ~stats m p)) programs
     done;
     stats.Explorer.states
   in
@@ -639,8 +633,8 @@ let explore_bench ~quick =
       ("count_states_por", time (count_run true));
       ("behaviours", time (beh_run false));
       ("behaviours_por", time (beh_run true));
-      ("tso_behaviours", time (machine_run (module Sb.Tso)));
-      ("pso_behaviours", time (machine_run (module Sb.Pso)));
+      ("tso_behaviours", time (machine_run Model.Tso));
+      ("pso_behaviours", time (machine_run Model.Pso));
       ("race_search", time race_run);
     ]
   in
@@ -1351,9 +1345,9 @@ let rmw_bench () =
     (List.for_all (fun (_, ok, _) -> ok) walls);
   let sb_x = Litmus.program Corpus.atomic_sb_xchg in
   Bench.claim "SB-with-xchg has no relaxed TSO outcome (buffer flushed)"
-    (Behaviour.Set.is_empty (Safeopt_tso.Machine.weak_behaviours sb_x));
+    (Behaviour.Set.is_empty (Model.weak_behaviours Model.Tso sb_x));
   Bench.claim "nor under PSO (all per-location buffers flushed)"
-    (Behaviour.Set.is_empty (Safeopt_tso.Pso.weak_behaviours sb_x));
+    (Behaviour.Set.is_empty (Model.weak_behaviours Model.Pso sb_x));
   let l = ladder_differential ~reps:1 lock_free_pack in
   Bench.claim "auto and exhaustive pipeline verdicts agree on the pack"
     (all_agree l);
@@ -1415,8 +1409,8 @@ let portability_bench ~quick =
     List.filter
       (fun pass ->
         match
-          ( verdict_of ~pass ~model:Safeopt_model.Memory_model.Sc,
-            verdict_of ~pass ~model:Safeopt_model.Memory_model.Tso )
+          ( verdict_of ~pass ~model:Model.Sc,
+            verdict_of ~pass ~model:Model.Tso )
         with
         | Some Portability.Safe, Some (Portability.Unsafe _) -> true
         | _ -> false)
@@ -1430,8 +1424,8 @@ let portability_bench ~quick =
   Bench.claim "every weak-model unsafe cell's witness replays from scratch"
     (List.for_all
        (fun ((c : Portability.cell), (u : Portability.unsafe_evidence)) ->
-         Safeopt_model.Memory_model.equal c.Portability.c_model
-           Safeopt_model.Memory_model.Sc
+         Model.equal c.Portability.c_model
+           Model.Sc
          || u.Portability.u_replayed)
        (Portability.unsafe_cells m));
   let cell_rows =
@@ -1456,7 +1450,7 @@ let portability_bench ~quick =
              ("pass", Json.String c.Portability.c_pass);
              ( "model",
                Json.String
-                 (Safeopt_model.Memory_model.name c.Portability.c_model) );
+                 (Model.name c.Portability.c_model) );
              ( "verdict",
                Json.String (Portability.verdict_tag c.Portability.c_verdict) );
              ("checked", Json.Int c.Portability.c_checked);
@@ -1581,10 +1575,10 @@ let bechamel_tests () =
         t "e8_oota_origins" (fun () ->
             Safeopt_core.Origin.traceset_has_origin 42 oota_ts);
         t "e9_sec4_elimination" (fun () -> e9_check ());
-        t "e12_tso_sb" (fun () -> Safeopt_tso.Machine.weak_behaviours sb);
+        t "e12_tso_sb" (fun () -> Model.weak_behaviours Model.Tso sb);
         t "e13_pso_mp" (fun () ->
-            Safeopt_tso.Pso.weak_behaviours (Litmus.program Corpus.mp));
-        t "e14_robust_sb" (fun () -> Safeopt_tso.Robustness.enforce sb);
+            Model.weak_behaviours Model.Pso (Litmus.program Corpus.mp));
+        t "e14_robust_sb" (fun () -> Robustness.enforce sb);
       ];
     Test.make_grouped ~name:"scaling"
       (List.concat_map
@@ -1688,8 +1682,7 @@ let () =
       e9 ();
       e10 ();
       e11 ();
-      e12 ();
-      e13 ();
+      e12_e13 ();
       e14 ();
       p1 ();
       p2 ();

@@ -14,7 +14,8 @@
                  (--profile hot spans, --flamegraph collapsed stacks)
      bench       benchmark utilities: `bench diff` compares BENCH_*.json
                  files with noise-aware thresholds (the CI perf gate)
-     tso         TSO behaviours and the section-8 explanation check
+     weak        TSO/PSO (--model) weak behaviours and the section-8
+                 explanation check
 
    The analysis subcommands share the telemetry flags --trace-out FILE,
    --trace-format jsonl|chrome, --metrics and the live-telemetry trio
@@ -860,7 +861,7 @@ let chain_cmd =
 let robust_cmd =
   let run () file fuel =
     let p = or_die (load file) in
-    let p', promoted = Safeopt_tso.Robustness.enforce ~fuel p in
+    let p', promoted = Safeopt_model.Robustness.enforce ~fuel p in
     (match promoted with
     | [] -> Fmt.pr "already data race free; no fences needed@."
     | ls ->
@@ -868,7 +869,7 @@ let robust_cmd =
           Fmt.(list ~sep:(any ", ") string)
           ls;
         Fmt.pr "--- robust program ---@.%a@." Pp.program p');
-    Fmt.pr "TSO-robust: %b@." (Safeopt_tso.Robustness.is_robust ~fuel p')
+    Fmt.pr "TSO-robust: %b@." (Safeopt_model.Robustness.is_robust ~fuel p')
   in
   Cmd.v
     (Cmd.info "robust"
@@ -876,44 +877,42 @@ let robust_cmd =
              data race free, hence SC on TSO")
     Term.(const run $ obs_term $ file_arg $ fuel_arg)
 
-(* --- tso --- *)
+(* --- weak --- *)
 
-let tso_cmd =
-  let run () file fuel =
+let weak_cmd =
+  let run () file fuel model =
     let p = or_die (load file) in
-    let tso = Safeopt_tso.Machine.program_behaviours ~fuel p in
-    let weak = Safeopt_tso.Machine.weak_behaviours ~fuel p in
-    Fmt.pr "TSO behaviours:@.";
-    print_behaviours tso;
-    Fmt.pr "weak (TSO minus SC): %a@." Behaviour.Set.pp weak;
-    let _, _, explained = Safeopt_tso.Machine.explained_by_transformations ~fuel p in
-    Fmt.pr "explained by R-WR + E-RAW transformations: %b@." explained
-  in
-  Cmd.v
-    (Cmd.info "tso"
-       ~doc:"Enumerate store-buffer (TSO) behaviours and check the \
-             section-8 explanation")
-    Term.(const run $ obs_term $ file_arg $ fuel_arg)
-
-let pso_cmd =
-  let run () file fuel =
-    let p = or_die (load file) in
-    Fmt.pr "PSO behaviours:@.";
-    print_behaviours (Safeopt_tso.Pso.program_behaviours ~fuel p);
-    Fmt.pr "weak (PSO minus SC):  %a@." Behaviour.Set.pp
-      (Safeopt_tso.Pso.weak_behaviours ~fuel p);
-    Fmt.pr "weak (PSO minus TSO): %a@." Behaviour.Set.pp
-      (Safeopt_tso.Pso.weak_beyond_tso ~fuel p);
-    let _, _, explained =
-      Safeopt_tso.Pso.explained_by_transformations ~fuel p
+    let upper m = String.uppercase_ascii (Model.name m) in
+    let under_model, _, explained =
+      Safeopt_litmus.Portability.explained_by_transformations ~fuel model p
     in
-    Fmt.pr "explained by R-WW + R-WR + E-RAW transformations: %b@." explained
+    Fmt.pr "%s behaviours:@." (upper model);
+    print_behaviours under_model;
+    (* what the model adds to each stronger one ([Model.all] is
+       strongest first) *)
+    let rec stronger = function
+      | m :: rest when not (Model.equal m model) -> m :: stronger rest
+      | _ -> []
+    in
+    List.iter
+      (fun m ->
+        Fmt.pr "weak (%s minus %s): %a@." (upper model) (upper m)
+          Behaviour.Set.pp
+          (Behaviour.Set.diff under_model (Model.behaviours ~fuel m p)))
+      (stronger Model.all);
+    match Safeopt_litmus.Portability.explanation_rules model with
+    | [] -> ()
+    | rules ->
+        Fmt.pr "explained by %s transformations: %b@."
+          (String.concat " + " rules) explained
   in
   Cmd.v
-    (Cmd.info "pso"
-       ~doc:"Enumerate partial-store-order behaviours (per-location store \
-             buffers)")
-    Term.(const run $ obs_term $ file_arg $ fuel_arg)
+    (Cmd.info "weak"
+       ~doc:"Enumerate behaviours under the store-buffer machine of \
+             $(b,--model) ($(b,tso) or $(b,pso)), list what they add to \
+             each stronger model, and check the section-8 explanation by \
+             the paper's transformations")
+    Term.(const run $ obs_term $ file_arg $ fuel_arg $ model_arg)
 
 (* --- report --- *)
 
@@ -1052,8 +1051,7 @@ let main =
       portability_cmd;
       report_cmd;
       bench_cmd;
-      tso_cmd;
-      pso_cmd;
+      weak_cmd;
     ]
 
 let () = exit (Cmd.eval main)

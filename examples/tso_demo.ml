@@ -9,12 +9,13 @@
 open Safeopt_exec
 open Safeopt_lang
 open Safeopt_litmus
+module Model = Safeopt_model.Memory_model
 
 let check name p =
   let tso, sc_union, explained =
-    Safeopt_tso.Machine.explained_by_transformations p
+    Portability.explained_by_transformations Model.Tso p
   in
-  let weak = Safeopt_tso.Machine.weak_behaviours p in
+  let weak = Behaviour.Set.diff tso (Interp.behaviours p) in
   Fmt.pr "  %-16s weak=%a explained-by-transformations=%b (tso %d, union %d)@."
     name Behaviour.Set.pp weak explained
     (Behaviour.Set.cardinal tso)
@@ -38,7 +39,7 @@ let () =
   List.iter
     (fun t ->
       let p = Litmus.program t in
-      let weak = Safeopt_tso.Machine.weak_behaviours p in
+      let weak = Model.weak_behaviours Model.Tso p in
       Fmt.pr "  %-16s drf=%b weak=%a@." t.Litmus.name (Interp.is_drf p)
         Behaviour.Set.pp weak)
     [ Corpus.fig3_a; Corpus.mp_volatile; Corpus.mp_locked; Corpus.intro_volatile ]

@@ -206,10 +206,11 @@ let engine_name = function Seq -> "seq" | Par -> "par" | Seq_par -> "seq→par"
    live, materialises a record even for callers that passed none, then
    publishes this call's deltas into the global registry and closes one
    span per entry point with the result counters and the deciding
-   engine as attributes.  [f] receives the engine cell (it starts at
-   [Seq]; an engine choice overwrites it) and the record.  With
-   telemetry off and no [?stats], the cost is the [live] test. *)
-let observed name stats f =
+   engine as attributes; [attrs] are set when the span opens.  [f]
+   receives the engine cell (it starts at [Seq]; an engine choice
+   overwrites it) and the record.  With telemetry off and no [?stats],
+   the cost is the [live] test. *)
+let observed ?attrs name stats f =
   let engine = ref Seq in
   let live = Metrics.enabled () || Tracer.enabled () in
   match (stats, live) with
@@ -219,7 +220,9 @@ let observed name stats f =
       let before = copy_stats s in
       let tracked = Metrics.enabled () in
       if tracked then Live.track s before;
-      let sp = if Tracer.enabled () then Tracer.span name else Tracer.none in
+      let sp =
+        if Tracer.enabled () then Tracer.span ?attrs name else Tracer.none
+      in
       let t0 = Clock.now () in
       Fun.protect
         ~finally:(fun () ->
@@ -1185,13 +1188,17 @@ let behaviours ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
         ~par:(par_behaviours ~max_states ~local ~stats Sc sys)
         ())
 
+(* The [model] attribute of a machine's span: its buffer discipline. *)
+let model_attr name = [ ("model", Ev.Str name) ]
+
 (* The store-buffer machines explore unreduced: [local] is an SC
    notion, and buffered steps commute differently. *)
 let machine_behaviours ?(max_states = default_max_states) ?stats ?jobs ?pool
     buffer vol sys =
   let module B = (val buffer : BUFFER) in
   let memory = Buffered ((module B), vol) in
-  observed "explorer.machine" stats (fun engine stats ->
+  observed ~attrs:(model_attr B.name) "explorer.machine" stats
+    (fun engine stats ->
       granular ?jobs ?pool ~max_states ~engine ~stats
         ~seq:(seq_behaviours ~local:None memory sys)
         ~par:(par_behaviours ~max_states ~local:None ~stats memory sys)
@@ -1455,8 +1462,9 @@ let find_deadlock ?(max_states = default_max_states) ?stats sys =
 (* Randomised sampling                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let sample_runs ?(max_actions = 10_000) ~seed ~runs sys =
-  let ctx = make_ctx ~striped:false ~stats:(create_stats ()) Sc sys in
+let sample_runs ?(max_actions = 10_000) ?stats ~seed ~runs sys =
+  let s = sink stats in
+  let ctx = make_ctx ~striped:false ~stats:s Sc sys in
   Seq.init runs (fun run ->
       (* one generator per run, so the stream is re-evaluable and a
          consumer may stop after any prefix without changing the rest *)
@@ -1470,6 +1478,7 @@ let sample_runs ?(max_actions = 10_000) ~seed ~runs sys =
               let _, a, succ =
                 List.nth succs (Random.State.int rng (List.length succs))
               in
+              s.edges <- s.edges + 1;
               let rev_beh =
                 match a with
                 | Action.External v -> v :: rev_beh
@@ -1480,21 +1489,21 @@ let sample_runs ?(max_actions = 10_000) ~seed ~runs sys =
       go (initial ctx) [] 0)
 
 let sample_behaviours ?max_actions ~seed ~runs ?stats sys =
-  observed "explorer.sample" stats (fun _ _ ->
+  observed "explorer.sample" stats (fun _ stats ->
       Seq.fold_left
         (fun acc b ->
           Behaviour.Set.union acc
             (Behaviour.Set.of_list (Behaviour.Set.list_prefixes b)))
         Behaviour.Set.empty
-        (sample_runs ?max_actions ~seed ~runs sys))
+        (sample_runs ?max_actions ?stats ~seed ~runs sys))
 
 (* ------------------------------------------------------------------ *)
 (* Always-stealing entry points                                        *)
 (* ------------------------------------------------------------------ *)
 
 module Parallel = struct
-  let steal name stats f =
-    observed name stats (fun engine stats ->
+  let steal ?attrs name stats f =
+    observed ?attrs name stats (fun engine stats ->
         engine := Par;
         f stats)
 
@@ -1515,7 +1524,7 @@ module Parallel = struct
   let machine_behaviours ?(max_states = default_max_states) ?stats ~pool
       buffer vol sys =
     let module B = (val buffer : BUFFER) in
-    steal "explorer.machine" stats (fun stats ->
+    steal ~attrs:(model_attr B.name) "explorer.machine" stats (fun stats ->
         par_behaviours ~max_states ~local:None ~stats
           (Buffered ((module B), vol))
           sys pool)

@@ -292,10 +292,17 @@ val find_deadlock :
 (** {1 Randomised sampling} *)
 
 val sample_runs :
-  ?max_actions:int -> seed:int -> runs:int -> 'ts System.t -> Behaviour.t Seq.t
+  ?max_actions:int ->
+  ?stats:stats ->
+  seed:int ->
+  runs:int ->
+  'ts System.t ->
+  Behaviour.t Seq.t
 (** A lazy stream of [runs] behaviours from a randomised scheduler.
     Run [i] derives its generator from [(seed, i)], so any prefix of the
-    stream is deterministic and independent of how much is consumed. *)
+    stream is deterministic and independent of how much is consumed.
+    [stats] counts the steps taken ([edges]) and the thread states
+    compiled as the stream is consumed. *)
 
 val sample_behaviours :
   ?max_actions:int ->
@@ -323,7 +330,8 @@ module type BUFFER = sig
   type t
 
   val name : string
-  (** Model name ("tso", "pso"). *)
+  (** Model name ("tso", "pso"), the [model] attribute of the
+      [explorer.machine] span. *)
 
   val empty : t
 

@@ -213,3 +213,30 @@ let pp_witnesses ppf m =
       | None -> ());
       Fmt.pf ppf "  @[<v>%a@]@." (Witness.pp Pp.program) u.u_witness)
     (unsafe_cells m)
+
+(* Section 8: each weak model's reorderings as the paper's syntactic
+   rules.  A TSO store buffer is write-read reordering plus
+   store-to-load forwarding; PSO's per-location buffers add write-write
+   reordering. *)
+let explanation_rules = function
+  | Model.Sc -> []
+  | Model.Tso -> [ "R-WR"; "E-RAW" ]
+  | Model.Pso -> [ "R-WW"; "R-WR"; "E-RAW" ]
+
+let explained_by_transformations ?fuel ?max_states ?(max_programs = 2_000)
+    model p =
+  let under_model = Model.behaviours ?fuel ?max_states model p in
+  let rules =
+    (* the silent move-commutation rules only make desugared stores
+       adjacent; they are identity transformations on tracesets *)
+    Safeopt_opt.Rule.moves
+    @ List.filter_map Safeopt_opt.Rule.by_name (explanation_rules model)
+  in
+  let sc_union =
+    List.fold_left
+      (fun acc q ->
+        Behaviour.Set.union acc (Interp.behaviours ?fuel ?max_states q))
+      Behaviour.Set.empty
+      (Safeopt_opt.Transform.reachable ~max_programs rules p)
+  in
+  (under_model, sc_union, Behaviour.Set.subset under_model sc_union)

@@ -80,3 +80,24 @@ val pp : matrix Fmt.t
 
 val pp_witnesses : matrix Fmt.t
 (** Every unsafe cell's counterexample, with its replay status. *)
+
+(** {1 Section 8: weak models explained by transformations} *)
+
+val explanation_rules : Model.t -> string list
+(** The paper's rules whose SC images should cover the model's
+    behaviours: R-WR (write-read reordering) and E-RAW (store-to-load
+    forwarding) for {!Model.Tso}, plus R-WW (write-write reordering)
+    for {!Model.Pso}; none for {!Model.Sc}. *)
+
+val explained_by_transformations :
+  ?fuel:int ->
+  ?max_states:int ->
+  ?max_programs:int ->
+  Model.t ->
+  Ast.program ->
+  Behaviour.Set.t * Behaviour.Set.t * bool
+(** [(under_model, transformed_sc, included)]: the program's behaviours
+    under the model, the union of SC behaviours of all programs
+    reachable from it via {!explanation_rules} (at most
+    [max_programs], default 2000), and whether the former is a subset
+    of the latter: the section-8 claim, checked per program. *)

@@ -29,11 +29,23 @@ let describe = function
       "partial store order (hardware model: per-location store buffers, \
        safety is behaviour inclusion)"
 
-let behaviours ?fuel ?max_states ?stats ?jobs ?pool m p =
-  match m with
-  | Sc -> Interp.behaviours ?fuel ?max_states ?stats ?jobs ?pool p
-  | Tso -> Store_buffer.Tso.program_behaviours ?fuel ?max_states ?stats ?jobs ?pool p
-  | Pso -> Store_buffer.Pso.program_behaviours ?fuel ?max_states ?stats ?jobs ?pool p
+let buffer = function
+  | Sc -> None
+  | Tso -> Some (module Store_buffer.Tso_buffer : Store_buffer.BUFFER)
+  | Pso -> Some (module Store_buffer.Pso_buffer : Store_buffer.BUFFER)
+
+let behaviours ?fuel ?max_states ?stats ?jobs ?pool m (p : Ast.program) =
+  match buffer m with
+  | None -> Interp.behaviours ?fuel ?max_states ?stats ?jobs ?pool p
+  | Some b ->
+      Explorer.machine_behaviours ?max_states ?stats ?jobs ?pool b
+        p.Ast.volatile
+        (Thread_system.make ?fuel p)
+
+let weak_behaviours ?fuel ?max_states ?stats ?jobs ?pool m p =
+  let under_m = behaviours ?fuel ?max_states ?stats ?jobs ?pool m p in
+  Behaviour.Set.diff under_m
+    (behaviours ?fuel ?max_states ?stats ?jobs ?pool Sc p)
 
 let replays ?fuel ?max_states ?jobs ?pool m p b =
   Behaviour.Set.mem b (behaviours ?fuel ?max_states ?jobs ?pool m p)

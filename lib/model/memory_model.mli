@@ -49,6 +49,11 @@ val catch_fire : t -> bool
 val describe : t -> string
 (** One-line summary of the model and its safety criterion. *)
 
+val buffer : t -> (module Store_buffer.BUFFER) option
+(** The store-buffer discipline of a hardware model, as
+    {!Explorer.machine_behaviours} and
+    {!Explorer.Parallel.machine_behaviours} take it; [None] for {!Sc}. *)
+
 val behaviours :
   ?fuel:int ->
   ?max_states:int ->
@@ -61,10 +66,25 @@ val behaviours :
 (** The program's observable behaviours under the model
     (prefix-closed): SC interleavings for {!Sc} (explored with the
     thread-local reduction, as {!Safeopt_lang.Interp.behaviours}), the
-    store-buffer machine for {!Tso}/{!Pso} (unreduced).  All three run
-    on the one {!Explorer} scheduler.  [jobs]/[pool] parallelise the
-    exploration past {!Explorer.steal_after} states; the set is
-    identical. *)
+    store-buffer machine over {!buffer} for {!Tso}/{!Pso} (unreduced).
+    All three run on the one {!Explorer} scheduler.  [jobs]/[pool]
+    parallelise the exploration past {!Explorer.steal_after} states;
+    the set is identical.
+    @raise Explorer.Cyclic / @raise Explorer.Too_many_states as the
+    SC engine does. *)
+
+val weak_behaviours :
+  ?fuel:int ->
+  ?max_states:int ->
+  ?stats:Explorer.stats ->
+  ?jobs:int ->
+  ?pool:Par.Pool.t ->
+  t ->
+  Ast.program ->
+  Behaviour.Set.t
+(** Behaviours under the model that are not SC behaviours: the
+    program's observable store-buffering weakness (empty under {!Sc},
+    and empty for DRF programs: Theorem 2 + section 8). *)
 
 val replays :
   ?fuel:int ->

@@ -1,6 +1,5 @@
 open Safeopt_trace
 open Safeopt_exec
-open Safeopt_lang
 
 module type BUFFER = Explorer.BUFFER
 
@@ -63,53 +62,3 @@ module Pso_buffer = struct
       (fun l vs acc -> vs @ (List.length vs :: intern l :: acc))
       b []
 end
-
-module type MACHINE = sig
-  val name : string
-  val buffer : (module BUFFER)
-
-  val behaviours :
-    ?max_states:int ->
-    ?stats:Explorer.stats ->
-    ?jobs:int ->
-    ?pool:Par.Pool.t ->
-    Location.Volatile.t ->
-    'ts System.t ->
-    Behaviour.Set.t
-
-  val program_behaviours :
-    ?fuel:int ->
-    ?max_states:int ->
-    ?stats:Explorer.stats ->
-    ?jobs:int ->
-    ?pool:Par.Pool.t ->
-    Ast.program ->
-    Behaviour.Set.t
-end
-
-module Make (B : BUFFER) : MACHINE = struct
-  let name = B.name
-  let buffer = (module B : BUFFER)
-
-  let behaviours ?max_states ?stats ?jobs ?pool vol sys =
-    let sp =
-      if Safeopt_obs.Tracer.enabled () then
-        Safeopt_obs.Tracer.span
-          ~attrs:[ ("model", Safeopt_obs.Event.Str B.name) ]
-          (B.name ^ ".behaviours")
-      else Safeopt_obs.Tracer.none
-    in
-    Fun.protect
-      ~finally:(fun () -> Safeopt_obs.Tracer.close_span sp)
-      (fun () ->
-        Explorer.machine_behaviours ?max_states ?stats ?jobs ?pool buffer vol
-          sys)
-
-  let program_behaviours ?fuel ?max_states ?stats ?jobs ?pool
-      (p : Ast.program) =
-    behaviours ?max_states ?stats ?jobs ?pool p.Ast.volatile
-      (Thread_system.make ?fuel p)
-end
-
-module Tso = Make (Tso_buffer)
-module Pso = Make (Pso_buffer)

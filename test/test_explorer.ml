@@ -262,12 +262,27 @@ let test_streaming_early_exit () =
       check "first execution is nonempty" true (first <> [])
   | Seq.Nil -> Alcotest.fail "expected at least one execution"
 
+(* Sampling fills the caller's record: every step a run takes is an
+   edge, and the thread states it compiles are counted. *)
+let test_sample_stats () =
+  let s = Explorer.create_stats () in
+  let (_ : Behaviour.Set.t) =
+    Explorer.sample_behaviours ~seed:7 ~runs:20 ~stats:s
+      (Traceset_system.make sb_ts)
+  in
+  check
+    (Printf.sprintf "sampling counts edges (%d > 0)" s.Explorer.edges)
+    true (s.Explorer.edges > 0);
+  check "sampling counts thread states" true (s.Explorer.thread_states > 0)
+
 (* The TSO machine runs on the same engine: its stats flow through the
    graph explorer. *)
 let test_graph_stats () =
   let p = Litmus.program Corpus.sb in
   let s = Explorer.create_stats () in
-  let (_ : Behaviour.Set.t) = Safeopt_tso.Machine.program_behaviours ~stats:s p in
+  let (_ : Behaviour.Set.t) =
+    Safeopt_model.Memory_model.(behaviours ~stats:s Tso p)
+  in
   check "TSO explored states" true (s.Explorer.states > 0);
   check "TSO edges" true (s.Explorer.edges >= s.Explorer.states - 1)
 
@@ -296,6 +311,7 @@ let () =
           Alcotest.test_case "TSO graph stats" `Quick test_graph_stats;
           Alcotest.test_case "executions count edges" `Quick
             test_execution_stats;
+          Alcotest.test_case "sampling counts edges" `Quick test_sample_stats;
         ] );
       ( "por",
         [

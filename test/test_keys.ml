@@ -17,7 +17,7 @@ open Safeopt_lang
 open Safeopt_exec
 open Safeopt_gen
 module G = QCheck2.Gen
-module Store_buffer = Safeopt_model.Store_buffer
+module Model = Safeopt_model.Memory_model
 
 module Oracle = struct
   type state = {
@@ -172,20 +172,21 @@ let weak_agrees p =
   let ours = Thread_system.make ~fuel p and ref_ = Oracle.make ~fuel p in
   let vol = p.Ast.volatile in
   List.for_all
-    (fun ((module M : Store_buffer.MACHINE), pool) ->
+    (fun (m, pool) ->
+      let buffer = Option.get (Model.buffer m) in
       let beh sys () =
         match pool with
-        | None -> M.behaviours ~max_states vol sys
+        | None -> Explorer.machine_behaviours ~max_states buffer vol sys
         | Some pool ->
-            Explorer.Parallel.machine_behaviours ~max_states ~pool M.buffer
-              vol sys
+            Explorer.Parallel.machine_behaviours ~max_states ~pool buffer vol
+              sys
       in
       same_behaviours (outcome (beh ours)) (outcome (beh ref_)))
     [
-      ((module Store_buffer.Tso), None);
-      ((module Store_buffer.Pso), None);
-      ((module Store_buffer.Tso), Some pool2);
-      ((module Store_buffer.Pso), Some pool2);
+      (Model.Tso, None);
+      (Model.Pso, None);
+      (Model.Tso, Some pool2);
+      (Model.Pso, Some pool2);
     ]
 
 (* A fixed case of the property: a loop that returns to its head, where

@@ -558,6 +558,45 @@ let snapshot_invariants jobs =
              && metric "explorer.states" = Some final.Explorer.states
              && metric "explorer.edges" = Some final.Explorer.edges))
 
+(* --- the model label on machine spans ------------------------------ *)
+
+(* Every store-buffer exploration is one [explorer.machine] span whose
+   [model] attribute is the buffer discipline's name, on the sequential
+   and the stealing engine alike. *)
+let test_machine_span_model () =
+  let module Model = Safeopt_model.Memory_model in
+  let p = Safeopt_litmus.Litmus.program Safeopt_litmus.Corpus.sb in
+  let events =
+    Par.Pool.with_pool 2 (fun pool ->
+        Tracer.start Tracer.Memory;
+        Fun.protect
+          ~finally:(fun () -> ignore (Tracer.stop () : Event.t list))
+          (fun () ->
+            List.iter
+              (fun m ->
+                ignore (Model.behaviours m p);
+                ignore
+                  (Explorer.Parallel.machine_behaviours ~pool
+                     (Option.get (Model.buffer m))
+                     p.Ast.volatile (Thread_system.make p)))
+              [ Model.Tso; Model.Pso ];
+            Tracer.stop ()))
+  in
+  let models =
+    List.filter_map
+      (fun (e : Event.t) ->
+        match (e.Event.kind, e.Event.name) with
+        | Event.Begin, "explorer.machine" -> (
+            match List.assoc_opt "model" e.Event.attrs with
+            | Some (Event.Str m) -> Some m
+            | _ -> Some "(none)")
+        | _ -> None)
+      events
+  in
+  Alcotest.(check (list string))
+    "one labelled machine span per exploration, in call order"
+    [ "tso"; "tso"; "pso"; "pso" ] models
+
 (* --- stats-as-view equality --------------------------------------- *)
 
 let test_stats_registry_roundtrip () =
@@ -600,7 +639,12 @@ let () =
         ] );
       ("events", [ event_roundtrip ]);
       ( "spans",
-        [ span_log_wellformed 1; span_log_wellformed 2 ] );
+        [
+          span_log_wellformed 1;
+          span_log_wellformed 2;
+          Alcotest.test_case "machine span names its model" `Quick
+            test_machine_span_model;
+        ] );
       ( "report",
         [ Alcotest.test_case "aggregation" `Quick test_report_aggregate ] );
       ( "profile",

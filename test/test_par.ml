@@ -236,21 +236,22 @@ let qcheck_jobs_parity =
               (fun ~pool p -> par_behaviours ~pool p)
               (fun ~pool p -> par_count_states ~pool p)))
 
-module Store_buffer = Safeopt_model.Store_buffer
+module Model = Safeopt_model.Memory_model
 
-(* A store-buffer machine's behaviours of [p] on the stealing engine. *)
-let par_machine ?stats ~pool (module M : Store_buffer.MACHINE) p =
-  Explorer.Parallel.machine_behaviours ?stats ~pool M.buffer p.Ast.volatile
-    (Thread_system.make p)
+(* A hardware model's behaviours of [p] on the stealing engine. *)
+let par_machine ?stats ~pool m p =
+  Explorer.Parallel.machine_behaviours ?stats ~pool
+    (Option.get (Model.buffer m))
+    p.Ast.volatile (Thread_system.make p)
 
 (* States a store-buffer machine explores on [p]: at jobs 1, or on the
    stealing engine over [pool]. *)
-let machine_states (module M : Store_buffer.MACHINE) ?pool p =
+let machine_states m ?pool p =
   let stats = Explorer.create_stats () in
   ignore
     (match pool with
-    | None -> M.program_behaviours ~stats p
-    | Some pool -> par_machine ~stats ~pool (module M) p);
+    | None -> Model.behaviours ~stats m p
+    | Some pool -> par_machine ~stats ~pool m p);
   stats.Explorer.states
 
 (* Acceptance criterion: POR-reduced state counts match exactly across
@@ -282,8 +283,8 @@ let test_corpus_por_parity () =
       check_i ("corpus " ^ name ^ " states, stealing engine") expected
         (total (machine_states m ~pool:pool2)))
     [
-      ("TSO", (module Store_buffer.Tso : Store_buffer.MACHINE), 6592);
-      ("PSO", (module Store_buffer.Pso : Store_buffer.MACHINE), 6726);
+      ("TSO", Model.Tso, 6592);
+      ("PSO", Model.Pso, 6726);
     ]
 
 (* [sys] counting its [steps] calls per (domain, thread key). *)
@@ -388,14 +389,14 @@ let test_machines_parallel () =
       if
         not
           (Behaviour.Set.equal
-             (Safeopt_tso.Machine.program_behaviours p)
-             (par_machine ~pool (module Store_buffer.Tso) p))
+             (Model.behaviours Model.Tso p)
+             (par_machine ~pool Model.Tso p))
       then Alcotest.failf "%s: parallel TSO behaviours differ" t.Litmus.name)
     (List.filteri (fun i _ -> i < 8) Corpus.all);
   let sb = Litmus.program Corpus.sb in
   Alcotest.check behaviour_set "parallel PSO behaviours equal sequential"
-    (Safeopt_tso.Pso.program_behaviours sb)
-    (par_machine ~pool (module Store_buffer.Pso) sb)
+    (Model.behaviours Model.Pso sb)
+    (par_machine ~pool Model.Pso sb)
 
 (* --- batch validation and the pipeline -------------------------------- *)
 
@@ -477,7 +478,7 @@ let test_parallel_route_steals () =
       ("race search", domains (fun stats -> par_find_race ~stats ~pool p));
       ( "machine",
         domains (fun stats ->
-            par_machine ~stats ~pool (module Store_buffer.Tso) p) );
+            par_machine ~stats ~pool Model.Tso p) );
     ]
 
 (* A pooled call on a corpus program never reaches [steal_after]: the
@@ -490,7 +491,7 @@ let test_small_stays_sequential () =
       let b = Interp.behaviours ~stats:s ~pool p in
       let c = Interp.count_states ~stats:s ~pool p in
       let drf = Interp.is_drf ~stats:s ~pool p in
-      let tso = Safeopt_tso.Machine.program_behaviours ~stats:s ~pool p in
+      let tso = Model.behaviours ~stats:s ~pool Model.Tso p in
       check_i (t.Litmus.name ^ ": no domains recorded") 0 s.Explorer.domains;
       check_i (t.Litmus.name ^ ": no steals") 0 s.Explorer.steals;
       Alcotest.check behaviour_set (t.Litmus.name ^ ": behaviours as jobs 1")
@@ -498,7 +499,7 @@ let test_small_stays_sequential () =
       check_i (t.Litmus.name ^ ": count as jobs 1") (Interp.count_states p) c;
       check_b (t.Litmus.name ^ ": verdict as jobs 1") (Interp.is_drf p) drf;
       Alcotest.check behaviour_set (t.Litmus.name ^ ": TSO as jobs 1")
-        (Safeopt_tso.Machine.program_behaviours p)
+        (Model.behaviours Model.Tso p)
         tso)
     [ Corpus.sb; Corpus.mp; Corpus.atomic_faa_counter ]
 
@@ -602,7 +603,9 @@ let test_cyclic_pooled () =
       ("SC", fun pool -> Explorer.behaviours ?pool spin);
       ( "TSO",
         fun pool ->
-          Store_buffer.Tso.behaviours ?pool Safeopt_trace.Location.Volatile.none
+          Explorer.machine_behaviours ?pool
+            (module Safeopt_model.Store_buffer.Tso_buffer)
+            Safeopt_trace.Location.Volatile.none
             spin );
     ]
 

@@ -5,6 +5,8 @@ open Safeopt_trace
 open Safeopt_exec
 open Safeopt_lang
 open Safeopt_gen
+module Model = Safeopt_model.Memory_model
+module Robustness = Safeopt_model.Robustness
 
 let rand () = Random.State.make [| 0x5afe0; 42 |]
 
@@ -190,7 +192,7 @@ let tso_includes_sc =
   test ~count:30 "SC behaviours are TSO behaviours" Generators.program
     ~print:print_program (fun p ->
       Behaviour.Set.subset (Interp.behaviours p)
-        (Safeopt_tso.Machine.program_behaviours p))
+        (Model.behaviours Model.Tso p))
 
 let por_equivalence =
   test ~count:100 "POR preserves behaviours" Generators.program
@@ -199,23 +201,16 @@ let por_equivalence =
         (Helpers.full_behaviours ~max_states:200_000 p)
         (Interp.behaviours ~max_states:200_000 p))
 
-let tso_includes_in_pso =
-  test ~count:25 "TSO behaviours are PSO behaviours" Generators.program
-    ~print:print_program (fun p ->
-      Behaviour.Set.subset
-        (Safeopt_tso.Machine.program_behaviours p)
-        (Safeopt_tso.Pso.program_behaviours p))
-
 let robustness_enforce =
   test ~count:20 "enforce yields a DRF, TSO-robust program"
     Generators.program ~print:print_program (fun p ->
-      let p', _ = Safeopt_tso.Robustness.enforce p in
-      Interp.is_drf p' && Safeopt_tso.Robustness.is_robust p')
+      let p', _ = Robustness.enforce p in
+      Interp.is_drf p' && Robustness.is_robust p')
 
 let drf_no_tso_weakness =
   test ~count:20 "DRF programs have no TSO-weak behaviours"
     Generators.drf_program ~print:print_program (fun p ->
-      Behaviour.Set.is_empty (Safeopt_tso.Machine.weak_behaviours p))
+      Behaviour.Set.is_empty (Model.weak_behaviours Model.Tso p))
 
 let () =
   Alcotest.run "properties"
@@ -242,7 +237,6 @@ let () =
           oota_lemma6;
           tso_includes_sc;
           por_equivalence;
-          tso_includes_in_pso;
           robustness_enforce;
           drf_no_tso_weakness;
         ] );
